@@ -87,9 +87,6 @@ class Circuit:
                 parents.setdefault(child, []).append((name, pos))
         return parents
 
-    def fanout(self, name):
-        return len(self.parent_index().get(name, ()))
-
     def copy(self):
         c = Circuit()
         c.gates = dict(self.gates)
@@ -195,8 +192,13 @@ def _gate_value(gate: Gate, vals):
 
 def eval_circuit(circuit: Circuit, input_assign: dict) -> dict:
     """Value of every gate under a total input assignment."""
+    return _evaluate(circuit, validate(circuit), input_assign)
+
+
+def _evaluate(circuit, order, input_assign):
+    """Gate values along a topological order from ``validate``."""
     values: dict[str, bool] = {}
-    for name in validate(circuit):
+    for name in order:
         gate = circuit.gates[name]
         if gate.func == INPUT:
             if name not in input_assign:
@@ -216,13 +218,7 @@ def circuit_sat(circuit: Circuit, bound: int = DEFAULT_BOUND):
         raise BoundExceeded(f"{len(names)} inputs exceeds bound {bound}")
     for k in range(1 << len(names)):
         assign = {n: bool((k >> i) & 1) for i, n in enumerate(names)}
-        values: dict[str, bool] = {}
-        for name in order:
-            gate = circuit.gates[name]
-            if gate.func == INPUT:
-                values[name] = assign[name]
-            else:
-                values[name] = _gate_value(gate, [values[c] for c in gate.children])
+        values = _evaluate(circuit, order, assign)
         if all(values[n] == req for n, req in circuit.constraints):
             return assign
     return None

@@ -4,9 +4,10 @@ Subcommands: prep (preprocess a CNF), encode (circuit to CNF), gen (benchmark
 families), verify (equisatisfiability / reconstruction checks), solve (oracle
 or external solver).
 
-Exit codes: 0 success / agreement, 1 usage or backend error, 2 verification
-disagreement, 10 satisfiable, 20 unsatisfiable (or empty clause derived by
-prep).  All file outputs are written atomically.  The environment variable
+Exit codes: 0 success / agreement, 1 usage error or any failure (reported as
+one `error:` line, never a traceback), 2 verification disagreement, 10
+satisfiable, 20 unsatisfiable (or empty clause derived by prep).  All file
+outputs are written atomically.  The environment variable
 CNFKIT_ORACLE_BOUND overrides the default oracle variable bound.
 """
 
@@ -16,15 +17,13 @@ import os
 import sys
 
 from . import bench, oracle
-from .circuit import CircuitError, normalize_circuit, simplify_fixpoint
+from .circuit import normalize_circuit, simplify_fixpoint
 from .elim import PipelineConfig, TechniqueId, run_pipeline
 from .encode import plaisted_greenbaum, tseitin
 from .formula import satisfies
-from .io import (CircuitFormatError, DimacsError, SolverParseFailure,
-                 SpawnFailure, atomic_write, parse_circuit,
-                 parse_dimacs_with_report, render_stats, run_external_solver,
-                 write_dimacs)
-from .reconstruct import ReconstructionStack, StackFormatError, reconstruct_model
+from .io import (atomic_write, parse_circuit, parse_dimacs_with_report,
+                 render_stats, run_external_solver, write_dimacs)
+from .reconstruct import ReconstructionStack, reconstruct_model
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -60,7 +59,6 @@ def cmd_prep(args):
         print(f"error: unknown technique: {exc}", file=sys.stderr)
         return EXIT_ERROR
     config = PipelineConfig(global_fixpoint=args.fixpoint,
-                            strict_parsing=args.strict,
                             ve_growth_bound=args.ve_bound)
     formula = _load_cnf(args.input, strict=args.strict)
     formula, stack, report = run_pipeline(formula, order, config)
@@ -256,8 +254,7 @@ def main(argv=None) -> int:
         return _finish(EXIT_ERROR, argv)
     try:
         code = args.func(args)
-    except (DimacsError, CircuitError, CircuitFormatError, StackFormatError,
-            SpawnFailure, SolverParseFailure, OSError, ValueError) as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_ERROR
     return _finish(code, argv)

@@ -1,8 +1,11 @@
-"""Clause elimination procedures.
+"""Clause elimination procedures and the technique pipeline.
 
 The extension operators grow a clause without changing its meaning relative
-to the rest of the formula: *hidden* literal addition follows binary clauses,
-*asymmetric* literal addition follows arbitrary clauses.  On top of them sit
+to the rest of the formula.  Hidden and asymmetric literal addition to a
+clause C of F are unit propagation of the negation of C over F without C,
+over the binary clauses only for hidden and over all clauses for asymmetric
+(Heule, Jarvisalo and Biere, *Clause Elimination Procedures for CNF
+Formulas*, LPAR 2010); both run on ``formula.propagate``.  On top of them sit
 four elimination families (tautology, subsumption, blocked, covered), each
 available plain, hidden, or asymmetric.  Removals that are not implied by the
 remaining formula push witness steps onto a reconstruction stack so models of
@@ -14,10 +17,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .formula import (CnfFormula, bounded_variable_elim,
-                      equivalent_literal_substitution, failed_literal_probe,
-                      lit_key, pure_literal_elim)
-from .reconstruct import ReconstructionStack, reconstruct_model
+from .formula import (CnfFormula, bounded_variable_elim, failed_literal_probe,
+                      lit_key, propagate, pure_literal_elim,
+                      substitute_equivalent_literals)
+from .reconstruct import ReconstructionStack
 
 __all__ = [
     "ExtensionMode", "TechniqueId", "TechniqueStats", "ElimReport",
@@ -25,7 +28,7 @@ __all__ = [
     "covered_literal_additions", "CoveredOutcome",
     "eliminate_tautologies", "eliminate_subsumed", "eliminate_blocked",
     "eliminate_covered", "is_extended_tautology", "find_subsumer",
-    "is_blocked", "run_pipeline", "reconstruct_model",
+    "is_blocked", "run_pipeline",
 ]
 
 
@@ -52,18 +55,6 @@ class TechniqueId(str, Enum):
     FLE = "fle"
     ELS = "els"
     VE = "ve"
-
-
-_MODE_OF = {
-    TechniqueId.TE: ExtensionMode.NONE, TechniqueId.HTE: ExtensionMode.HIDDEN,
-    TechniqueId.ATE: ExtensionMode.ASYMMETRIC,
-    TechniqueId.SE: ExtensionMode.NONE, TechniqueId.HSE: ExtensionMode.HIDDEN,
-    TechniqueId.ASE: ExtensionMode.ASYMMETRIC,
-    TechniqueId.BCE: ExtensionMode.NONE, TechniqueId.HBCE: ExtensionMode.HIDDEN,
-    TechniqueId.ABCE: ExtensionMode.ASYMMETRIC,
-    TechniqueId.CCE: ExtensionMode.NONE, TechniqueId.HCCE: ExtensionMode.HIDDEN,
-    TechniqueId.ACCE: ExtensionMode.ASYMMETRIC,
-}
 
 
 @dataclass
@@ -112,68 +103,13 @@ def is_tautology(lits) -> bool:
 
 def _extend(formula, base, exclude_id, mode, early_exit=True):
     """Extend a working clause per the mode.  Returns (literal set, tautology
-    flag, number of literals added).  With early_exit the function may stop as
-    soon as a complementary pair appears; otherwise it runs to the full
-    fixpoint."""
-    wset = set(base)
-    taut = any(-l in wset for l in wset)
-    added = 0
-    if mode is ExtensionMode.NONE or (taut and early_exit):
-        return wset, taut, added
-
-    if mode is ExtensionMode.HIDDEN:
-        queue = sorted(wset, key=lit_key)
-        while queue:
-            l0 = queue.pop(0)
-            for cid in sorted(formula.occ_ids(l0)):
-                if cid == exclude_id:
-                    continue
-                clause = formula.clauses[cid]
-                if len(clause) != 2:
-                    continue
-                other = clause[1] if clause[0] == l0 else clause[0]
-                add = -other
-                if add in wset:
-                    continue
-                if -add in wset:
-                    taut = True
-                wset.add(add)
-                added += 1
-                queue.append(add)
-                if taut and early_exit:
-                    return wset, True, added
-        return wset, taut, added
-
-    # asymmetric: add the complement of l whenever another clause minus l
-    # is contained in the working clause
-    changed = True
-    while changed:
-        changed = False
-        for cid in formula.ids():
-            if cid == exclude_id:
-                continue
-            cset = formula.lit_sets[cid]
-            diff = cset - wset
-            if len(diff) > 1:
-                continue
-            if len(diff) == 1:
-                (l,) = diff
-                if -l not in wset:
-                    wset.add(-l)
-                    added += 1
-                    changed = True
-            else:  # clause entirely contained: every literal's complement applies
-                taut = True
-                for l in sorted(cset, key=lit_key):
-                    if -l not in wset:
-                        wset.add(-l)
-                        added += 1
-                        changed = True
-                    if early_exit:
-                        return wset, True, added
-        if taut and early_exit:
-            return wset, True, added
-    return wset, taut, added
+    flag, number of literals added); see ``propagate`` for ``early_exit``."""
+    if mode is ExtensionMode.NONE:
+        wset = set(base)
+        return wset, any(-l in wset for l in wset), 0
+    wset, taut = propagate(formula, base, exclude_id,
+                           mode is ExtensionMode.HIDDEN, early_exit)
+    return wset, taut, len(wset) - len(base)
 
 
 def extend_clause(formula, cid, mode, *, early_exit=True):
@@ -269,45 +205,47 @@ def covered_literal_additions(formula, cid) -> CoveredOutcome:
                           tuple(sorted(wset, key=lit_key)), steps)
 
 
-def eliminate_tautologies(formula, mode=ExtensionMode.NONE, report=None):
+def eliminate_tautologies(formula, mode=ExtensionMode.NONE, stack=None,
+                          stats=None):
     """TE / HTE / ATE: drop clauses whose extension contains a complementary
-    pair.  Pure deletion; the removed clause is implied by the rest."""
-    stats = _stats_for(report, TechniqueId.TE, mode)
-    with _timed(stats):
-        changed = True
-        while changed:
-            stats.rounds += 1
-            changed = False
-            for cid in formula.ids():
-                _, taut, added = _extend(formula, formula.clauses[cid], cid, mode)
-                stats.literals_added += added
-                if taut:
-                    formula.remove_clause(cid)
-                    stats.clauses_removed += 1
-                    changed = True
+    pair.  Pure deletion; the removed clause is implied by the rest, so
+    nothing goes on the stack."""
+    stats = stats or TechniqueStats()
+    changed = True
+    while changed:
+        stats.rounds += 1
+        changed = False
+        for cid in formula.ids():
+            _, taut, added = _extend(formula, formula.clauses[cid], cid, mode)
+            stats.literals_added += added
+            if taut:
+                formula.remove_clause(cid)
+                stats.clauses_removed += 1
+                changed = True
     return formula
 
 
-def eliminate_subsumed(formula, mode=ExtensionMode.NONE, report=None):
+def eliminate_subsumed(formula, mode=ExtensionMode.NONE, stack=None,
+                       stats=None):
     """SE / HSE / ASE: drop a clause whose extension is a superset of some
-    other clause.  Between duplicate clauses the lower id survives."""
-    stats = _stats_for(report, TechniqueId.SE, mode)
-    with _timed(stats):
-        changed = True
-        while changed:
-            stats.rounds += 1
-            changed = False
-            for cid in formula.ids():
-                if cid not in formula.clauses:
-                    continue
-                ext, _, added = _extend(formula, formula.clauses[cid], cid, mode,
-                                        early_exit=False)
-                stats.literals_added += added
-                own = formula.lit_sets[cid]
-                if _find_subsumer_of(formula, cid, own, ext) is not None:
-                    formula.remove_clause(cid)
-                    stats.clauses_removed += 1
-                    changed = True
+    other clause.  Between duplicate clauses the lower id survives.  Pure
+    deletion, so nothing goes on the stack."""
+    stats = stats or TechniqueStats()
+    changed = True
+    while changed:
+        stats.rounds += 1
+        changed = False
+        for cid in formula.ids():
+            if cid not in formula.clauses:
+                continue
+            ext, _, added = _extend(formula, formula.clauses[cid], cid, mode,
+                                    early_exit=False)
+            stats.literals_added += added
+            own = formula.lit_sets[cid]
+            if _find_subsumer_of(formula, cid, own, ext) is not None:
+                formula.remove_clause(cid)
+                stats.clauses_removed += 1
+                changed = True
     return formula
 
 
@@ -322,41 +260,39 @@ def _find_subsumer_of(formula, cid, own, ext):
 
 
 def eliminate_blocked(formula, mode=ExtensionMode.NONE, stack=None,
-                      report=None, scan_order=None):
+                      stats=None, scan_order=None):
     """BCE / HBCE / ABCE: remove clauses whose extension has a blocking
     literal.  Each removal pushes (extension, blocking literal) so the witness
     can be flipped during reconstruction; tautological extensions are deleted
     outright."""
-    stats = _stats_for(report, TechniqueId.BCE, mode)
+    stats = stats or TechniqueStats()
     base_order = list(scan_order) if scan_order is not None else None
-    with _timed(stats):
-        changed = True
-        while changed:
-            stats.rounds += 1
-            changed = False
-            ids = base_order if base_order is not None else formula.ids()
-            for cid in ids:
-                if cid not in formula.clauses:
-                    continue
-                wset, taut, added = _extend(formula, formula.clauses[cid], cid, mode)
-                stats.literals_added += added
-                if taut:
-                    formula.remove_clause(cid)
-                    stats.clauses_removed += 1
-                    changed = True
-                    continue
-                lit = blocking_literal(formula, wset, cid)
-                if lit is not None:
-                    if stack is not None:
-                        stack.push_clause(
-                            [(tuple(sorted(wset, key=lit_key)), lit)])
-                    formula.remove_clause(cid)
-                    stats.clauses_removed += 1
-                    changed = True
+    changed = True
+    while changed:
+        stats.rounds += 1
+        changed = False
+        ids = base_order if base_order is not None else formula.ids()
+        for cid in ids:
+            if cid not in formula.clauses:
+                continue
+            wset, taut, added = _extend(formula, formula.clauses[cid], cid, mode)
+            stats.literals_added += added
+            if taut:
+                formula.remove_clause(cid)
+                stats.clauses_removed += 1
+                changed = True
+                continue
+            lit = blocking_literal(formula, wset, cid)
+            if lit is not None:
+                if stack is not None:
+                    stack.push_clause([(tuple(sorted(wset, key=lit_key)), lit)])
+                formula.remove_clause(cid)
+                stats.clauses_removed += 1
+                changed = True
     return formula
 
 
-def eliminate_covered(formula, mode=ExtensionMode.NONE, stack=None, report=None):
+def eliminate_covered(formula, mode=ExtensionMode.NONE, stack=None, stats=None):
     """CCE / HCCE / ACCE: alternate the mode's extension with covered literal
     additions until the working clause is removable, tautological, or stable.
 
@@ -364,54 +300,40 @@ def eliminate_covered(formula, mode=ExtensionMode.NONE, stack=None, report=None)
     covered additions contributed, the accumulated steps are pushed because
     those additions are only satisfiability-preserving with their witnesses.
     """
-    stats = _stats_for(report, TechniqueId.CCE, mode)
-    with _timed(stats):
-        changed = True
-        while changed:
-            stats.rounds += 1
-            changed = False
-            for cid in formula.ids():
-                if cid not in formula.clauses:
-                    continue
-                wset = set(formula.clauses[cid])
-                steps = []
-                while True:
-                    before = set(wset)
-                    wset, taut, added = _extend(formula, wset, cid, mode)
-                    stats.literals_added += added
-                    if taut:
-                        if steps and stack is not None:
-                            stack.push_clause(steps)
-                        formula.remove_clause(cid)
-                        stats.clauses_removed += 1
-                        changed = True
-                        break
-                    removable, _, wset, csteps, cadded = _covered(formula, wset, cid)
-                    stats.literals_added += cadded
-                    steps.extend(csteps)
-                    if removable:
-                        if stack is not None:
-                            stack.push_clause(steps)
-                        formula.remove_clause(cid)
-                        stats.clauses_removed += 1
-                        changed = True
-                        break
-                    if wset == before:
-                        break
+    stats = stats or TechniqueStats()
+    changed = True
+    while changed:
+        stats.rounds += 1
+        changed = False
+        for cid in formula.ids():
+            if cid not in formula.clauses:
+                continue
+            wset = set(formula.clauses[cid])
+            steps = []
+            while True:
+                before = set(wset)
+                wset, taut, added = _extend(formula, wset, cid, mode)
+                stats.literals_added += added
+                if taut:
+                    if steps and stack is not None:
+                        stack.push_clause(steps)
+                    formula.remove_clause(cid)
+                    stats.clauses_removed += 1
+                    changed = True
+                    break
+                removable, _, wset, csteps, cadded = _covered(formula, wset, cid)
+                stats.literals_added += cadded
+                steps.extend(csteps)
+                if removable:
+                    if stack is not None:
+                        stack.push_clause(steps)
+                    formula.remove_clause(cid)
+                    stats.clauses_removed += 1
+                    changed = True
+                    break
+                if wset == before:
+                    break
     return formula
-
-
-def _stats_for(report, base, mode):
-    family = {
-        TechniqueId.TE: (TechniqueId.TE, TechniqueId.HTE, TechniqueId.ATE),
-        TechniqueId.SE: (TechniqueId.SE, TechniqueId.HSE, TechniqueId.ASE),
-        TechniqueId.BCE: (TechniqueId.BCE, TechniqueId.HBCE, TechniqueId.ABCE),
-        TechniqueId.CCE: (TechniqueId.CCE, TechniqueId.HCCE, TechniqueId.ACCE),
-    }[base]
-    idx = (ExtensionMode.NONE, ExtensionMode.HIDDEN,
-           ExtensionMode.ASYMMETRIC).index(mode)
-    tid = family[idx]
-    return report.stats(tid) if report is not None else TechniqueStats()
 
 
 # --- predicates used by the hierarchy property suites -----------------------
@@ -440,9 +362,36 @@ def is_blocked(formula, cid, mode):
 @dataclass
 class PipelineConfig:
     global_fixpoint: bool = False
-    oracle_bound: int = 20
-    strict_parsing: bool = False
     ve_growth_bound: int = 0
+
+
+_NONE, _HIDDEN, _ASYM = (ExtensionMode.NONE, ExtensionMode.HIDDEN,
+                         ExtensionMode.ASYMMETRIC)
+
+# TechniqueId -> (procedure, extension mode).  An elimination procedure is
+# called as procedure(formula, mode, stack, stats) and keeps its own counters.
+# A formula-level one (mode None) is called as procedure(formula, stack,
+# config) and counts as one round, its net change in size as removed or added.
+_TECHNIQUES = {
+    TechniqueId.TE: (eliminate_tautologies, _NONE),
+    TechniqueId.HTE: (eliminate_tautologies, _HIDDEN),
+    TechniqueId.ATE: (eliminate_tautologies, _ASYM),
+    TechniqueId.SE: (eliminate_subsumed, _NONE),
+    TechniqueId.HSE: (eliminate_subsumed, _HIDDEN),
+    TechniqueId.ASE: (eliminate_subsumed, _ASYM),
+    TechniqueId.BCE: (eliminate_blocked, _NONE),
+    TechniqueId.HBCE: (eliminate_blocked, _HIDDEN),
+    TechniqueId.ABCE: (eliminate_blocked, _ASYM),
+    TechniqueId.CCE: (eliminate_covered, _NONE),
+    TechniqueId.HCCE: (eliminate_covered, _HIDDEN),
+    TechniqueId.ACCE: (eliminate_covered, _ASYM),
+    TechniqueId.PL: (lambda f, stack, config: pure_literal_elim(f, stack), None),
+    TechniqueId.FLE: (lambda f, stack, config: failed_literal_probe(f), None),
+    TechniqueId.ELS: (lambda f, stack, config:
+                      substitute_equivalent_literals(f, stack), None),
+    TechniqueId.VE: (lambda f, stack, config: bounded_variable_elim(
+        f, config.ve_growth_bound, stack), None),
+}
 
 
 def run_pipeline(formula: CnfFormula, order, config=None):
@@ -465,55 +414,24 @@ def run_pipeline(formula: CnfFormula, order, config=None):
         for tid in order:
             if formula.has_empty_clause:
                 break
-            _apply_technique(formula, tid, config, stack, report)
-            if formula.has_empty_clause:
-                break
-        if formula.has_empty_clause:
-            break
-        if not config.global_fixpoint or formula.clause_multiset() == signature:
+            procedure, mode = _TECHNIQUES[tid]
+            stats = report.stats(tid)
+            with _timed(stats):
+                if mode is not None:
+                    procedure(formula, mode, stack, stats)
+                else:
+                    before = len(formula.clauses)
+                    stats.rounds += 1
+                    procedure(formula, stack, config)
+                    # net accounting keeps removed-added equal to the size delta
+                    delta = len(formula.clauses) - before
+                    if delta < 0:
+                        stats.clauses_removed -= delta
+                    else:
+                        stats.clauses_added += delta
+        if (formula.has_empty_clause or not config.global_fixpoint
+                or formula.clause_multiset() == signature):
             break
 
     report.clauses_after = len(formula.clauses)
     return formula, stack, report
-
-
-def _apply_technique(formula, tid, config, stack, report):
-    mode = _MODE_OF.get(tid)
-    if tid in (TechniqueId.TE, TechniqueId.HTE, TechniqueId.ATE):
-        eliminate_tautologies(formula, mode, report)
-    elif tid in (TechniqueId.SE, TechniqueId.HSE, TechniqueId.ASE):
-        eliminate_subsumed(formula, mode, report)
-    elif tid in (TechniqueId.BCE, TechniqueId.HBCE, TechniqueId.ABCE):
-        eliminate_blocked(formula, mode, stack, report)
-    elif tid in (TechniqueId.CCE, TechniqueId.HCCE, TechniqueId.ACCE):
-        eliminate_covered(formula, mode, stack, report)
-    else:
-        stats = report.stats(tid)
-        before = len(formula.clauses)
-        with _timed(stats):
-            stats.rounds += 1
-            if tid is TechniqueId.PL:
-                pure_literal_elim(formula, stack)
-            elif tid is TechniqueId.FLE:
-                failed_literal_probe(formula)
-            elif tid is TechniqueId.VE:
-                bounded_variable_elim(formula, config.ve_growth_bound, stack)
-            elif tid is TechniqueId.ELS:
-                while True:
-                    _, subst = equivalent_literal_substitution(formula)
-                    if not subst:
-                        break
-                    for var in sorted({abs(l) for l in subst}):
-                        rep = subst[var]
-                        stack.push_var(var, [
-                            tuple(sorted((-var, rep), key=lit_key)),
-                            tuple(sorted((var, -rep), key=lit_key)),
-                        ])
-                    if formula.has_empty_clause:
-                        break
-        # net accounting keeps removed-added equal to the size delta
-        after = len(formula.clauses)
-        if after < before:
-            stats.clauses_removed += before - after
-        else:
-            stats.clauses_added += after - before

@@ -32,12 +32,6 @@ class VarMap:
     def var(self, name: str) -> int:
         return self.gate_to_var[name]
 
-    def gate(self, var: int) -> str:
-        for name, v in self.gate_to_var.items():
-            if v == var:
-                return name
-        raise KeyError(var)
-
     @property
     def num_vars(self) -> int:
         return len(self.gate_to_var)

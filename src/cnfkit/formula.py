@@ -7,14 +7,13 @@ clause *multiset*: each clause has a stable integer id, and two clauses with
 identical literals are distinct members.
 """
 
-from collections import deque
-
 __all__ = [
     "lit_key",
     "normalize_clause",
     "clause_satisfied",
     "satisfies",
     "CnfFormula",
+    "propagate",
     "bcp",
     "propagate_units",
     "failed_literal_probe",
@@ -22,6 +21,7 @@ __all__ = [
     "BinaryImplicationGraph",
     "build_big",
     "equivalent_literal_substitution",
+    "substitute_equivalent_literals",
     "bounded_variable_elim",
 ]
 
@@ -54,14 +54,16 @@ def satisfies(formula, assign: dict) -> bool:
 
 
 class CnfFormula:
-    """Clause multiset with an always-consistent literal occurrence index."""
+    """Clause multiset with an always-consistent literal occurrence index and
+    an index of the clauses with at most one literal."""
 
-    __slots__ = ("clauses", "lit_sets", "occ", "num_vars", "_next_id")
+    __slots__ = ("clauses", "lit_sets", "occ", "short", "num_vars", "_next_id")
 
     def __init__(self, num_vars: int = 0, clauses=None):
         self.clauses: dict[int, tuple[int, ...]] = {}
         self.lit_sets: dict[int, frozenset] = {}
         self.occ: dict[int, set[int]] = {}
+        self.short: set[int] = set()
         self.num_vars = num_vars
         self._next_id = 0
         for c in clauses or ():
@@ -71,10 +73,8 @@ class CnfFormula:
         clause, _ = normalize_clause(lits)
         cid = self._next_id
         self._next_id += 1
-        self.clauses[cid] = clause
-        self.lit_sets[cid] = frozenset(clause)
+        self._attach(cid, clause)
         for l in clause:
-            self.occ.setdefault(l, set()).add(cid)
             if abs(l) > self.num_vars:
                 self.num_vars = abs(l)
         return cid
@@ -82,28 +82,30 @@ class CnfFormula:
     def remove_clause(self, cid: int) -> tuple[int, ...]:
         clause = self.clauses.pop(cid)
         del self.lit_sets[cid]
-        for l in clause:
-            ids = self.occ[l]
-            ids.discard(cid)
-            if not ids:
-                del self.occ[l]
+        self._detach(cid, clause)
         return clause
 
     def replace_clause(self, cid: int, lits):
         """Swap a clause's literals in place, keeping its id."""
         clause, _ = normalize_clause(lits)
-        for l in self.clauses[cid]:
-            ids = self.occ[l]
-            ids.discard(cid)
-            if not ids:
-                del self.occ[l]
+        self._detach(cid, self.clauses[cid])
+        self._attach(cid, clause)
+
+    def _attach(self, cid, clause):
         self.clauses[cid] = clause
         self.lit_sets[cid] = frozenset(clause)
         for l in clause:
             self.occ.setdefault(l, set()).add(cid)
+        if len(clause) <= 1:
+            self.short.add(cid)
 
-    def clause(self, cid: int) -> tuple[int, ...]:
-        return self.clauses[cid]
+    def _detach(self, cid, clause):
+        for l in clause:
+            ids = self.occ[l]
+            ids.discard(cid)
+            if not ids:
+                del self.occ[l]
+        self.short.discard(cid)
 
     def occ_ids(self, lit: int) -> set[int]:
         return self.occ.get(lit, set())
@@ -114,7 +116,7 @@ class CnfFormula:
 
     @property
     def has_empty_clause(self) -> bool:
-        return any(not c for c in self.clauses.values())
+        return any(not self.clauses[cid] for cid in self.short)
 
     def max_mentioned_var(self) -> int:
         return max((abs(l) for c in self.clauses.values() for l in c), default=0)
@@ -127,12 +129,14 @@ class CnfFormula:
         f.clauses = dict(self.clauses)
         f.lit_sets = dict(self.lit_sets)
         f.occ = {l: set(ids) for l, ids in self.occ.items()}
+        f.short = set(self.short)
         f.num_vars = self.num_vars
         f._next_id = self._next_id
         return f
 
     def check_integrity(self):
-        """Rebuild the occurrence index from scratch and compare."""
+        """Rebuild the occurrence and short-clause indexes from scratch and
+        compare."""
         occ: dict[int, set[int]] = {}
         for cid, clause in self.clauses.items():
             assert self.lit_sets[cid] == frozenset(clause)
@@ -140,6 +144,8 @@ class CnfFormula:
             for l in clause:
                 occ.setdefault(l, set()).add(cid)
         assert occ == self.occ, "occurrence index out of sync"
+        assert self.short == {cid for cid, c in self.clauses.items()
+                              if len(c) <= 1}, "short-clause index out of sync"
         assert self.num_vars >= self.max_mentioned_var()
         ids = list(self.clauses)
         assert ids == sorted(ids)
@@ -154,59 +160,88 @@ class CnfFormula:
         return f"CnfFormula(num_vars={self.num_vars}, clauses={list(self.clauses.values())})"
 
 
-def bcp(formula: CnfFormula, assumptions=()) -> dict | None:
-    """Unit propagation to fixpoint.
+def propagate(formula: CnfFormula, false_lits, exclude=None, binary_only=False,
+              early_exit=True):
+    """Close a set of false literals under unit propagation.
 
-    Returns the propagated assignment, or None on conflict.  The fixpoint is
-    order-independent; this implementation seeds from unit clauses plus the
-    assumptions and propagates through the occurrence index.
+    A clause whose literals are all false but one, ``u``, makes ``u`` true:
+    ``-u`` joins the set.  A clause whose literals are all false is a
+    conflict.  Returns ``(false set, conflict)``; a complementary pair among
+    ``false_lits`` is a conflict too.  The clause with id ``exclude`` is
+    ignored, and ``binary_only`` restricts the search to binary clauses.
+
+    With ``early_exit`` the search stops at the first conflict, after adding
+    the complement of a literal of the conflicting clause, so the set holds a
+    complementary pair (an empty clause is the one conflict without one).
+    Without it the result is the least fixpoint, carried on past conflicts:
+    a conflicting clause adds the complement of each of its literals.
+
+    Given the literals of a clause C of F and C's id as ``exclude``, this is
+    unit propagation of the negation of C over F without C, which is hidden
+    literal addition with ``binary_only`` and asymmetric literal addition
+    without (Heule, Jarvisalo and Biere, *Clause Elimination Procedures for
+    CNF Formulas*, LPAR 2010).
+
+    Each clause keeps a count of its literals taken off the queue, so a
+    clause is looked at only through the occurrences of false literals;
+    unit and empty clauses come from the formula's short-clause index.
     """
-    assign: dict[int, bool] = {}
-    queue = deque()
-
-    def assert_lit(lit):
-        var, val = abs(lit), lit > 0
-        old = assign.get(var)
-        if old is None:
-            assign[var] = val
-            queue.append(lit)
-            return True
-        return old == val
-
-    for lit in assumptions:
-        if not assert_lit(lit):
-            return None
-    for clause in formula.clauses.values():
-        if not clause:
-            return None
-        if len(clause) == 1 and not assert_lit(clause[0]):
-            return None
-
+    clauses, occ = formula.clauses, formula.occ
+    false = set(false_lits)
+    conflict = any(-l in false for l in false)
+    if conflict and early_exit:
+        return false, True
+    queue = list(false)
+    if not binary_only:
+        for cid in formula.short:
+            if cid == exclude:
+                continue
+            clause = clauses[cid]
+            if not clause:
+                if early_exit:
+                    return false, True
+                conflict = True
+            elif clause[0] not in false and -clause[0] not in false:
+                false.add(-clause[0])
+                queue.append(-clause[0])
+    count: dict[int, int] = {}
     while queue:
-        lit = queue.popleft()
-        for cid in sorted(formula.occ_ids(-lit)):
-            clause = formula.clauses.get(cid)
-            if clause is None:
+        lit = queue.pop()
+        for cid in occ.get(lit, ()):
+            if cid == exclude:
                 continue
-            unassigned = None
-            satisfied = False
-            for l in clause:
-                val = assign.get(abs(l))
-                if val is None:
-                    if unassigned is not None:
-                        unassigned = 0  # two or more free literals
+            clause = clauses[cid]
+            size = len(clause)
+            if binary_only and size != 2:
+                continue
+            seen = count.get(cid, 0) + 1
+            count[cid] = seen
+            if seen == size - 1:
+                # the literal not dequeued yet; if it is false already, the
+                # conflict is taken when it is dequeued
+                for u in clause:
+                    if u not in false:
+                        if -u not in false:
+                            false.add(-u)
+                            queue.append(-u)
                         break
-                    unassigned = l
-                elif val == (l > 0):
-                    satisfied = True
-                    break
-            if satisfied or unassigned == 0:
-                continue
-            if unassigned is None:
-                return None
-            if not assert_lit(unassigned):
-                return None
-    return assign
+            elif seen == size:
+                if early_exit:
+                    false.add(-lit)
+                    return false, True
+                conflict = True
+                for u in clause:
+                    if -u not in false:
+                        false.add(-u)
+                        queue.append(-u)
+    return false, conflict
+
+
+def bcp(formula: CnfFormula, assumptions=()) -> dict | None:
+    """Unit propagation to fixpoint from the unit clauses and the assumed
+    literals.  Returns the propagated assignment, or None on conflict."""
+    false, conflict = propagate(formula, [-l for l in assumptions])
+    return None if conflict else {abs(l): l < 0 for l in false}
 
 
 def propagate_units(formula: CnfFormula, assign: dict) -> CnfFormula:
@@ -237,15 +272,8 @@ def failed_literal_probe(formula: CnfFormula):
     if formula.has_empty_clause:
         raise ValueError("formula already contains the empty clause")
     learned: list[int] = []
-
-    def top_level():
-        assign = bcp(formula)
-        if assign is None:
-            return None
-        return assign
-
     while True:
-        base = top_level()
+        base = bcp(formula)
         if base is None:
             formula.add_clause([])
             return formula, learned
@@ -256,7 +284,7 @@ def failed_literal_probe(formula: CnfFormula):
             if not formula.occ_ids(var) and not formula.occ_ids(-var):
                 continue
             for lit in (var, -var):
-                if bcp(formula, (lit,)) is None:
+                if propagate(formula, (-lit,))[1]:
                     learned.append(-lit)
                     formula.add_clause([-lit])
                     assign = bcp(formula)
@@ -415,6 +443,22 @@ def equivalent_literal_substitution(formula: CnfFormula):
         else:
             seen[clause] = cid
     return formula, subst
+
+
+def substitute_equivalent_literals(formula: CnfFormula, stack=None) -> CnfFormula:
+    """Repeat equivalent-literal substitution until no component collapses.
+    Each substituted variable is pushed with the two binary clauses that tie
+    it to its representative, which repair its value."""
+    while True:
+        _, subst = equivalent_literal_substitution(formula)
+        if not subst:
+            return formula
+        if stack is None:
+            continue
+        for var in sorted({abs(l) for l in subst}):
+            rep = subst[var]
+            stack.push_var(var, [tuple(sorted((-var, rep), key=lit_key)),
+                                 tuple(sorted((var, -rep), key=lit_key))])
 
 
 def bounded_variable_elim(formula: CnfFormula, growth_bound: int = 0,

@@ -7,7 +7,7 @@ from .bcformat import (CIRCUIT_HEADER, CircuitFormatError, UnknownFunction,
                        parse_circuit, write_circuit)
 from .solver import (SolverParseFailure, SolverResult, SpawnFailure,
                      run_external_solver)
-from .stats import STATS_SCHEMA, atomic_write, render_stats, write_stats
+from .stats import STATS_SCHEMA, atomic_write, render_stats
 
 __all__ = [
     "DimacsError", "MalformedHeader", "LiteralOutOfRange", "UnterminatedClause",
@@ -15,5 +15,5 @@ __all__ = [
     "CIRCUIT_HEADER", "CircuitFormatError", "UnknownFunction",
     "parse_circuit", "write_circuit",
     "SolverResult", "SpawnFailure", "SolverParseFailure", "run_external_solver",
-    "STATS_SCHEMA", "render_stats", "write_stats", "atomic_write",
+    "STATS_SCHEMA", "render_stats", "atomic_write",
 ]

@@ -4,7 +4,8 @@ The parser accepts comment lines, a `p cnf <vars> <clauses>` header, and
 zero-terminated clauses that may span or share lines.  Clause-count mismatches
 are warnings (benchmark files are sloppy) unless strict mode is on; a literal
 above the declared variable count is always an error.  Tautological clauses
-are dropped and counted.
+are dropped and counted.  A line holding only `%` ends the clauses, as in the
+SATLIB files that close with `%` and `0` lines.
 """
 
 from dataclasses import dataclass, field
@@ -46,6 +47,8 @@ def parse_dimacs_with_report(text: str, strict: bool = False):
     header = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
+        if stripped == "%":
+            break
         if not stripped or stripped.startswith("c"):
             continue
         if stripped.startswith("p"):

@@ -13,13 +13,16 @@ The stats document is a single self-describing JSON object:
     }
 
 Counters always satisfy: total removed - total added = before - after.
+``literals_added`` counts the literals that extension and covered literal
+addition added to working clauses; an extension that reaches a conflict
+stops there, so only the literals added up to the first conflict count.
 """
 
 import json
 import os
 import tempfile
 
-__all__ = ["STATS_SCHEMA", "render_stats", "write_stats", "atomic_write"]
+__all__ = ["STATS_SCHEMA", "render_stats", "atomic_write"]
 
 STATS_SCHEMA = "cnfkit-stats/1"
 
@@ -58,7 +61,3 @@ def atomic_write(path, text: str):
         except OSError:
             pass
         raise
-
-
-def write_stats(report, path):
-    atomic_write(path, render_stats(report))

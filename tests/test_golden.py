@@ -1,0 +1,90 @@
+"""Golden outputs: `prep` must keep writing byte-identical CNF and stack text.
+
+Each of the 16 techniques runs alone, and the circuit preprocessing order
+runs as a whole, over a fixed corpus: small benchmark families, seeded random
+formulas and Tseitin encodings of seeded random circuits.  The digests are
+the SHA-256 of every output in corpus order; a change that alters any output
+of a technique changes that technique's digest.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from cnfkit.bench import gen_ephp, gen_php, gen_xor_unsat
+from cnfkit.circuit import normalize_circuit
+from cnfkit.elim import PipelineConfig, run_pipeline
+from cnfkit.encode import tseitin
+from cnfkit.io import parse_dimacs, write_dimacs
+from conftest import random_circuit, random_formula
+
+GOLDEN = {
+    "te":
+        "16f6712cc77f906d427923effb1e890385aa3381b6fe9106fdcb765a558fdee3",
+    "hte":
+        "987fdaca00697284826b852a7ec68a5aa8d085ed6113990991125489c847b3af",
+    "ate":
+        "4ae91a5a22ed3958c7d7082bafb14523298f43cd4b08c7a9c71ef718bf3fa2e0",
+    "se":
+        "bb91ece18d38832a69e9820c1837da72cd56a574903e7e646b0675a745c06990",
+    "hse":
+        "57894931c8a0334ef49e5fd6fdd7042e8a443491a9b33d255c4e3c218533d103",
+    "ase":
+        "e77521f505bb7b3385f9a7d9b8cfbbf30bb5a8b942250cc38b8ce2d8881b548a",
+    "bce":
+        "9c0eecd386c04316de2aac591eef80ff51cbb160d4587a86133f3b50a52a31f0",
+    "hbce":
+        "1c3fb079374f870e5158e02e748f41b5761c5b3ee9e651cab84d33a08a0d4eb3",
+    "abce":
+        "7798cbecd94496de9f92c207e595aa7bd9bf1947846788bd8777410674351e97",
+    "cce":
+        "b2ee45cff0ebb9c4b7e6b90541d74f8504fed6e9f252199c93e54e1f6b3992ea",
+    "hcce":
+        "4b862a9b3ec0beb9ec27b6be348a7d60f5ab49fb229b262198ff8463fac37559",
+    "acce":
+        "fa1cf5b8ad7521c853940989a2565d6e156309735c0adeb5a9f1c6d31aec86da",
+    "pl":
+        "281c984ca14065a0783bbfdddc017c41e9126d2ce145bcb74beac1a9c11fad01",
+    "fle":
+        "1b427bda74f1ac19592e1a4fd0db3b4afc142e8592def202a7091a9bcc5bd8b3",
+    "els":
+        "50d633a658a7629ad32e018dd1f9c9599b0f93733c3376150c3df34f4e76eeab",
+    "ve":
+        "ffd8313dc50ac4410512ba2bb800826656513d18bfab6c6bc61ebd245e45c5e2",
+    "fle,els,te,se,bce,hbce,abce,ve":
+        "c940cd5bbd17fc4c993c6bb762f3c6c97ac4417860d3a86eb8b19ee176710c75",
+}
+
+
+def corpus():
+    texts = [write_dimacs(f) for f in (gen_php(3), gen_ephp(3), gen_xor_unsat(5))]
+    rng = random.Random(2010)
+    texts += [write_dimacs(random_formula(rng, max_vars=8, max_clauses=24))
+              for _ in range(36)]
+    rng = random.Random(5202)
+    texts += [write_dimacs(tseitin(normalize_circuit(random_circuit(rng)))[0])
+              for _ in range(36)]
+    return texts
+
+
+CORPUS = corpus()
+
+
+def prep_digest(order):
+    """What `cnfkit prep --techniques ORDER --stack` writes, hashed."""
+    digest = hashlib.sha256()
+    for text in CORPUS:
+        formula, stack, _ = run_pipeline(parse_dimacs(text), order,
+                                         PipelineConfig())
+        formula.num_vars = formula.max_mentioned_var()
+        digest.update(write_dimacs(formula).encode())
+        digest.update(b"--\n")
+        digest.update(stack.to_text().encode())
+        digest.update(b"==\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("techniques", sorted(GOLDEN))
+def test_prep_output_is_unchanged(techniques):
+    assert prep_digest(techniques.split(",")) == GOLDEN[techniques]
