@@ -205,24 +205,60 @@ def covered_literal_additions(formula, cid) -> CoveredOutcome:
                           tuple(sorted(wset, key=lit_key)), steps)
 
 
+def _worklist(formula, stats, check, scan_order=None):
+    """Run rounds of ``check`` over the clauses until a round removes nothing.
+
+    ``check(cid)`` is called on a live clause.  It returns None to have the
+    clause removed (after pushing any stack entry), or else the variables of
+    the clauses it read, its final working set, to keep it.  Each round scans
+    a snapshot of the ids (or ``scan_order``) in order, but checks only the
+    dirty clauses: every clause starts dirty, a check makes it clean, and
+    removing a clause makes dirty again every kept clause whose check read
+    one of the removed clause's variables.
+
+    The re-check rule is exact because a procedure only removes clauses: a
+    clean clause's check read no clause removed since, and could not have
+    read a clause it did not see, so it would keep the clause again.  The
+    removals, their order and the number of rounds are those of checking
+    every clause in every round.  A check that no removal can turn from
+    keeping to removing registers nothing: it returns an empty set.
+    """
+    dirty = set(formula.clauses)
+    readers: dict[int, set[int]] = {}
+    changed = True
+    while changed:
+        stats.rounds += 1
+        changed = False
+        for cid in (scan_order if scan_order is not None else formula.ids()):
+            if cid not in dirty or cid not in formula.clauses:
+                continue
+            dirty.discard(cid)
+            reads = check(cid)
+            if reads is None:
+                stats.clauses_removed += 1
+                changed = True
+                for l in formula.remove_clause(cid):
+                    dirty.update(readers.pop(abs(l), ()))
+            else:
+                for var in reads:
+                    readers.setdefault(var, set()).add(cid)
+    return formula
+
+
 def eliminate_tautologies(formula, mode=ExtensionMode.NONE, stack=None,
                           stats=None):
     """TE / HTE / ATE: drop clauses whose extension contains a complementary
     pair.  Pure deletion; the removed clause is implied by the rest, so
     nothing goes on the stack."""
     stats = stats or TechniqueStats()
-    changed = True
-    while changed:
-        stats.rounds += 1
-        changed = False
-        for cid in formula.ids():
-            _, taut, added = _extend(formula, formula.clauses[cid], cid, mode)
-            stats.literals_added += added
-            if taut:
-                formula.remove_clause(cid)
-                stats.clauses_removed += 1
-                changed = True
-    return formula
+
+    def check(cid):
+        _, taut, added = _extend(formula, formula.clauses[cid], cid, mode)
+        stats.literals_added += added
+        # removals only shrink an extension, so a kept clause stays kept
+        return None if taut else ()
+
+    return _worklist(formula, stats, check)
 
 
 def eliminate_subsumed(formula, mode=ExtensionMode.NONE, stack=None,
@@ -231,32 +267,39 @@ def eliminate_subsumed(formula, mode=ExtensionMode.NONE, stack=None,
     other clause.  Between duplicate clauses the lower id survives.  Pure
     deletion, so nothing goes on the stack."""
     stats = stats or TechniqueStats()
-    changed = True
-    while changed:
-        stats.rounds += 1
-        changed = False
-        for cid in formula.ids():
-            if cid not in formula.clauses:
-                continue
-            ext, _, added = _extend(formula, formula.clauses[cid], cid, mode,
-                                    early_exit=False)
-            stats.literals_added += added
-            own = formula.lit_sets[cid]
-            if _find_subsumer_of(formula, cid, own, ext) is not None:
-                formula.remove_clause(cid)
-                stats.clauses_removed += 1
-                changed = True
-    return formula
+
+    def check(cid):
+        ext, _, added = _extend(formula, formula.clauses[cid], cid, mode,
+                                early_exit=False)
+        stats.literals_added += added
+        own = formula.lit_sets[cid]
+        if _find_subsumer_of(formula, cid, own, ext) is not None:
+            return None
+        # removals only shrink the extension and the subsumer candidates
+        return ()
+
+    return _worklist(formula, stats, check)
 
 
 def _find_subsumer_of(formula, cid, own, ext):
-    for oid in formula.ids():
-        if oid == cid:
-            continue
-        oset = formula.lit_sets[oid]
-        if oset <= ext and (oset != own or oid < cid):
-            return oid
-    return None
+    """Lowest id of a clause other than ``cid`` contained in ``ext``; a
+    duplicate of ``own`` counts only with a lower id.  A nonempty subsumer
+    occurs under its first literal, which is in ``ext``, so only those
+    occurrence lists and the empty clauses are looked at."""
+    clauses, lit_sets = formula.clauses, formula.lit_sets
+    best = None
+    for oid in formula.short:
+        if not clauses[oid] and oid != cid and (own or oid < cid):
+            best = oid if best is None else min(best, oid)
+    for l in ext:
+        for oid in formula.occ.get(l, ()):
+            if (clauses[oid][0] != l or oid == cid
+                    or (best is not None and oid > best)):
+                continue
+            oset = lit_sets[oid]
+            if oset <= ext and (oset != own or oid < cid):
+                best = oid
+    return best
 
 
 def eliminate_blocked(formula, mode=ExtensionMode.NONE, stack=None,
@@ -266,30 +309,21 @@ def eliminate_blocked(formula, mode=ExtensionMode.NONE, stack=None,
     can be flipped during reconstruction; tautological extensions are deleted
     outright."""
     stats = stats or TechniqueStats()
-    base_order = list(scan_order) if scan_order is not None else None
-    changed = True
-    while changed:
-        stats.rounds += 1
-        changed = False
-        ids = base_order if base_order is not None else formula.ids()
-        for cid in ids:
-            if cid not in formula.clauses:
-                continue
-            wset, taut, added = _extend(formula, formula.clauses[cid], cid, mode)
-            stats.literals_added += added
-            if taut:
-                formula.remove_clause(cid)
-                stats.clauses_removed += 1
-                changed = True
-                continue
-            lit = blocking_literal(formula, wset, cid)
-            if lit is not None:
-                if stack is not None:
-                    stack.push_clause([(tuple(sorted(wset, key=lit_key)), lit)])
-                formula.remove_clause(cid)
-                stats.clauses_removed += 1
-                changed = True
-    return formula
+
+    def check(cid):
+        wset, taut, added = _extend(formula, formula.clauses[cid], cid, mode)
+        stats.literals_added += added
+        if taut:
+            return None
+        lit = blocking_literal(formula, wset, cid)
+        if lit is None:
+            return {abs(l) for l in wset}
+        if stack is not None:
+            stack.push_clause([(tuple(sorted(wset, key=lit_key)), lit)])
+        return None
+
+    order = list(scan_order) if scan_order is not None else None
+    return _worklist(formula, stats, check, order)
 
 
 def eliminate_covered(formula, mode=ExtensionMode.NONE, stack=None, stats=None):
@@ -301,39 +335,29 @@ def eliminate_covered(formula, mode=ExtensionMode.NONE, stack=None, stats=None):
     those additions are only satisfiability-preserving with their witnesses.
     """
     stats = stats or TechniqueStats()
-    changed = True
-    while changed:
-        stats.rounds += 1
-        changed = False
-        for cid in formula.ids():
-            if cid not in formula.clauses:
-                continue
-            wset = set(formula.clauses[cid])
-            steps = []
-            while True:
-                before = set(wset)
-                wset, taut, added = _extend(formula, wset, cid, mode)
-                stats.literals_added += added
-                if taut:
-                    if steps and stack is not None:
-                        stack.push_clause(steps)
-                    formula.remove_clause(cid)
-                    stats.clauses_removed += 1
-                    changed = True
-                    break
-                removable, _, wset, csteps, cadded = _covered(formula, wset, cid)
-                stats.literals_added += cadded
-                steps.extend(csteps)
-                if removable:
-                    if stack is not None:
-                        stack.push_clause(steps)
-                    formula.remove_clause(cid)
-                    stats.clauses_removed += 1
-                    changed = True
-                    break
-                if wset == before:
-                    break
-    return formula
+
+    def check(cid):
+        wset = set(formula.clauses[cid])
+        steps = []
+        while True:
+            before = set(wset)
+            wset, taut, added = _extend(formula, wset, cid, mode)
+            stats.literals_added += added
+            if taut:
+                if steps and stack is not None:
+                    stack.push_clause(steps)
+                return None
+            removable, _, wset, csteps, cadded = _covered(formula, wset, cid)
+            stats.literals_added += cadded
+            steps.extend(csteps)
+            if removable:
+                if stack is not None:
+                    stack.push_clause(steps)
+                return None
+            if wset == before:
+                return {abs(l) for l in wset}
+
+    return _worklist(formula, stats, check)
 
 
 # --- predicates used by the hierarchy property suites -----------------------

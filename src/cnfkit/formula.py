@@ -7,6 +7,9 @@ clause *multiset*: each clause has a stable integer id, and two clauses with
 identical literals are distinct members.
 """
 
+import heapq
+from itertools import islice
+
 __all__ = [
     "lit_key",
     "normalize_clause",
@@ -302,24 +305,58 @@ def failed_literal_probe(formula: CnfFormula):
             return formula, learned
 
 
+class _DirtyVars:
+    """Variables 1..num_vars to check again, taken smallest first.
+
+    Iterating yields the smallest dirty variable and marks it clean;
+    ``touch`` marks the variables of some clauses dirty again.  A procedure
+    whose check of a variable reads only that variable's occurrence lists
+    touches the variables of every clause it adds or removes: a clean
+    variable's lists are then unchanged since its last failed check, so it
+    still fails, and the variable yielded is the smallest that qualifies.
+    """
+
+    def __init__(self, num_vars: int):
+        self.heap = list(range(1, num_vars + 1))
+        self.queued = set(self.heap)
+
+    def __iter__(self):
+        while self.heap:
+            var = heapq.heappop(self.heap)
+            self.queued.discard(var)
+            yield var
+
+    def touch(self, clauses):
+        for clause in clauses:
+            for l in clause:
+                var = abs(l)
+                if var not in self.queued:
+                    self.queued.add(var)
+                    heapq.heappush(self.heap, var)
+
+
 def pure_literal_elim(formula: CnfFormula, stack=None) -> CnfFormula:
     """Remove all clauses of literals whose complement never occurs, pushing
-    each removed clause with the pure literal as its repair witness."""
-    while True:
-        pure = None
-        for var in range(1, formula.num_vars + 1):
-            for lit in (var, -var):
-                if formula.occ_ids(lit) and not formula.occ_ids(-lit):
-                    pure = lit
-                    break
-            if pure is not None:
-                break
-        if pure is None:
-            return formula
-        for cid in sorted(formula.occ_ids(pure)):
-            clause = formula.remove_clause(cid)
-            if stack is not None:
+    each removed clause with the pure literal as its repair witness.
+
+    Order contract: each step takes the smallest variable that occurs in
+    one phase only and removes that literal's clauses in id order, as a
+    restart at variable 1 after every pure literal would.  Only the
+    variables of the removed clauses are checked again.
+    """
+    dirty = _DirtyVars(formula.num_vars)
+    for var in dirty:
+        pos, neg = formula.occ_ids(var), formula.occ_ids(-var)
+        if bool(pos) == bool(neg):
+            continue
+        pure = var if pos else -var
+        removed = [formula.remove_clause(cid)
+                   for cid in sorted(formula.occ_ids(pure))]
+        if stack is not None:
+            for clause in removed:
                 stack.push_clause([(clause, pure)])
+        dirty.touch(removed)
+    return formula
 
 
 class BinaryImplicationGraph:
@@ -461,44 +498,49 @@ def substitute_equivalent_literals(formula: CnfFormula, stack=None) -> CnfFormul
                                  tuple(sorted((var, -rep), key=lit_key))])
 
 
+def _resolvents(formula, var, pos, neg):
+    """The non-tautological resolvents on ``var``, in (pos, neg) id order."""
+    for pid in pos:
+        pc = formula.lit_sets[pid]
+        for nid in neg:
+            merged = (pc | formula.lit_sets[nid]) - {var, -var}
+            if not any(-l in merged for l in merged):
+                yield merged
+
+
 def bounded_variable_elim(formula: CnfFormula, growth_bound: int = 0,
                           stack=None) -> CnfFormula:
     """Eliminate variables by resolution whenever the non-tautological
     resolvent count stays within the occurrence count plus ``growth_bound``.
+
+    Order contract: each step eliminates the smallest variable that
+    qualifies, as a restart at variable 1 after every elimination would.
+    Only the variables of the clauses an elimination removed are checked
+    again; no other variable's occurrence lists changed.  Resolvent
+    generation stops as soon as the count passes the bound.
 
     The variable's original clauses go onto the reconstruction stack; the
     eliminated variable is later assigned any value satisfying them.
     """
     if growth_bound < 0:
         raise ValueError("growth_bound must be >= 0")
-    while True:
-        eliminated = False
-        for var in range(1, formula.num_vars + 1):
-            pos = sorted(formula.occ_ids(var))
-            neg = sorted(formula.occ_ids(-var))
-            # single-phase variables are pure-literal territory, not resolution
-            if not pos or not neg:
-                continue
-            resolvents = []
-            for pid in pos:
-                pc = formula.lit_sets[pid]
-                for nid in neg:
-                    merged = (pc | formula.lit_sets[nid]) - {var, -var}
-                    if any(-l in merged for l in merged):
-                        continue
-                    resolvents.append(merged)
-            if len(resolvents) > len(pos) + len(neg) + growth_bound:
-                continue
-            saved = [formula.clauses[cid] for cid in sorted(set(pos) | set(neg))]
-            if stack is not None:
-                stack.push_var(var, saved)
-            for cid in sorted(set(pos) | set(neg)):
-                formula.remove_clause(cid)
-            for merged in resolvents:
-                formula.add_clause(merged)
-            eliminated = True
-            if formula.has_empty_clause:
-                return formula
-            break
-        if not eliminated:
+    dirty = _DirtyVars(formula.num_vars)
+    for var in dirty:
+        pos = sorted(formula.occ_ids(var))
+        neg = sorted(formula.occ_ids(-var))
+        # single-phase variables are pure-literal territory, not resolution
+        if not pos or not neg:
+            continue
+        limit = len(pos) + len(neg) + growth_bound
+        resolvents = list(islice(_resolvents(formula, var, pos, neg), limit + 1))
+        if len(resolvents) > limit:
+            continue
+        saved = [formula.remove_clause(cid) for cid in sorted(set(pos) | set(neg))]
+        if stack is not None:
+            stack.push_var(var, saved)
+        for merged in resolvents:
+            formula.add_clause(merged)
+        if formula.has_empty_clause:
             return formula
+        dirty.touch(saved)
+    return formula

@@ -123,8 +123,15 @@ class ReconstructionStack:
                             "unterminated or miscounted clauses")
                     stack.entries.append(VarEntry(var, tuple(saved)))
                 elif tokens[:2] == ["e", "c"]:
+                    if len(tokens) < 3:
+                        raise StackFormatError(
+                            f"short clause entry: {lines[i-1]!r}")
+                    count = int(tokens[2])
+                    if count < 1:
+                        raise StackFormatError(
+                            f"clause entry needs at least one step: {count}")
                     steps = []
-                    for _ in range(int(tokens[2])):
+                    for _ in range(count):
                         if i >= len(lines):
                             raise StackFormatError("missing step line")
                         stoks = lines[i].split()

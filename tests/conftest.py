@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cnfkit.circuit import (AND, CARD, EQUIV, EVEN, FALSE, IMPLY, ITE, NOT,
-                            OR, TRUE, XOR, Circuit)
+                            OR, TRUE, XOR, Circuit, eval_circuit)
 from cnfkit.formula import CnfFormula, normalize_clause
 
 
@@ -60,6 +60,35 @@ def random_circuit(rng: random.Random, max_gates=10, max_inputs=6) -> Circuit:
     for name in pool:
         if rng.random() < 0.22:
             circuit.add_constraint(name, rng.random() < 0.8)
+    return circuit
+
+
+def parity_circuit(rng: random.Random, num_gates: int) -> Circuit:
+    """Satisfiable AND/OR/XOR/NOT/ITE circuit with one constraint: the parity
+    of the newer half of its sinks takes its value under a random input
+    assignment.  Children lean towards recent gates, so the circuit is deep,
+    and the free sinks leave cones that clause elimination removes over
+    several rounds."""
+    circuit = Circuit()
+    pool = [circuit.add_input(f"x{i}") for i in range(max(4, num_gates // 4))]
+    arity = {NOT: (1, 1), ITE: (3, 3), XOR: (2, 2), AND: (2, 4), OR: (2, 4)}
+    for i in range(num_gates):
+        func = rng.choice(sorted(arity))
+        kids = []
+        while len(kids) < rng.randint(*arity[func]):
+            back = min(len(pool) - 1, int(rng.expovariate(1 / 6)))
+            child = pool[-1 - back] if rng.random() < 0.7 else rng.choice(pool)
+            if child not in kids:
+                kids.append(child)
+        pool.append(circuit.add_gate(f"g{i}", func, kids))
+    used = {k for gate in circuit.gates.values() for k in gate.children}
+    sinks = [name for name in pool if name not in used]
+    top = sinks[-1]
+    for k, other in enumerate(sinks[-max(2, len(sinks) // 2):-1]):
+        top = circuit.add_gate(f"p{k}", XOR, (top, other))
+    values = eval_circuit(circuit, {x: rng.random() < 0.5
+                                    for x in circuit.inputs()})
+    circuit.add_constraint(top, values[top])
     return circuit
 
 

@@ -4,7 +4,9 @@ Each of the 16 techniques runs alone, and the circuit preprocessing order
 runs as a whole, over a fixed corpus: small benchmark families, seeded random
 formulas and Tseitin encodings of seeded random circuits.  The digests are
 the SHA-256 of every output in corpus order; a change that alters any output
-of a technique changes that technique's digest.
+of a technique changes that technique's digest.  The circuit preprocessing
+order also runs over a few larger satisfiable circuits, big enough for
+blocked clause elimination to need four rounds or more.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ from cnfkit.circuit import normalize_circuit
 from cnfkit.elim import PipelineConfig, run_pipeline
 from cnfkit.encode import tseitin
 from cnfkit.io import parse_dimacs, write_dimacs
-from conftest import random_circuit, random_formula
+from conftest import parity_circuit, random_circuit, random_formula
 
 GOLDEN = {
     "te":
@@ -56,6 +58,11 @@ GOLDEN = {
         "c940cd5bbd17fc4c993c6bb762f3c6c97ac4417860d3a86eb8b19ee176710c75",
 }
 
+PREP_ORDER = "fle,els,te,se,bce,hbce,abce,ve"
+
+LARGE_GOLDEN = \
+    "334ec26463d6150a3469d641df8522a27a3b44e9c4dac3fa64b17aee3571b5d9"
+
 
 def corpus():
     texts = [write_dimacs(f) for f in (gen_php(3), gen_ephp(3), gen_xor_unsat(5))]
@@ -68,13 +75,20 @@ def corpus():
     return texts
 
 
+def large_corpus():
+    rng = random.Random(2024)
+    return [write_dimacs(tseitin(normalize_circuit(parity_circuit(rng, gates)))[0])
+            for gates in (200, 260, 320)]
+
+
 CORPUS = corpus()
+LARGE_CORPUS = large_corpus()
 
 
-def prep_digest(order):
+def prep_digest(order, corpus=CORPUS):
     """What `cnfkit prep --techniques ORDER --stack` writes, hashed."""
     digest = hashlib.sha256()
-    for text in CORPUS:
+    for text in corpus:
         formula, stack, _ = run_pipeline(parse_dimacs(text), order,
                                          PipelineConfig())
         formula.num_vars = formula.max_mentioned_var()
@@ -88,3 +102,7 @@ def prep_digest(order):
 @pytest.mark.parametrize("techniques", sorted(GOLDEN))
 def test_prep_output_is_unchanged(techniques):
     assert prep_digest(techniques.split(",")) == GOLDEN[techniques]
+
+
+def test_prep_output_is_unchanged_on_large_circuits():
+    assert prep_digest(PREP_ORDER.split(","), LARGE_CORPUS) == LARGE_GOLDEN

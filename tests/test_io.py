@@ -13,6 +13,7 @@ from cnfkit.io import (CircuitFormatError, DimacsError, LiteralOutOfRange,
                        parse_dimacs, parse_dimacs_with_report, render_stats,
                        run_external_solver, write_circuit, write_dimacs)
 from cnfkit.elim import ElimReport, TechniqueId
+from cnfkit.reconstruct import ReconstructionStack, StackFormatError
 from conftest import random_circuit, random_formula
 
 
@@ -157,6 +158,13 @@ class TestFuzzNeverCrashes:
                 parse_circuit(text)
             except (CircuitFormatError, CircuitError):
                 pass
+
+
+class TestStackFormat:
+    @pytest.mark.parametrize("text", ["e c\n", "e c 0\n", "e c -2\n"])
+    def test_clause_entry_framing(self, text):
+        with pytest.raises(StackFormatError):
+            ReconstructionStack.from_text(text)
 
 
 def _make_stub(tmp_path, name, body):
