@@ -5,6 +5,7 @@ Gate ids are names (strings).  A circuit pairs a gate map with a list of
 the input gates makes every constrained gate evaluate to its required value.
 """
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -128,29 +129,19 @@ def validate(circuit: Circuit):
         if name not in circuit.gates:
             raise UndefinedGateError(f"constraint references undefined {name!r}")
 
-    pending = {n: len(set(g.children)) for n, g in circuit.gates.items()}
+    pending = {n: len(g.children) for n, g in circuit.gates.items()}
     parents = circuit.parent_index()
-    ready = sorted(n for n, k in pending.items() if k == 0)
+    ready = [n for n, k in pending.items() if k == 0]
+    heapq.heapify(ready)
     order = []
-    seen_child: dict[str, set] = {n: set() for n in circuit.gates}
     while ready:
-        name = ready.pop(0)
+        # the smallest ready name first, for determinism
+        name = heapq.heappop(ready)
         order.append(name)
-        for parent, _ in parents.get(name, ()):
-            if name in seen_child[parent]:
-                continue
-            seen_child[parent].add(name)
+        for parent, _ in parents[name]:
             pending[parent] -= 1
             if pending[parent] == 0:
-                # keep the ready list sorted for determinism
-                lo, hi = 0, len(ready)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if ready[mid] < parent:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                ready.insert(lo, parent)
+                heapq.heappush(ready, parent)
     if len(order) != len(circuit.gates):
         stuck = min(n for n in circuit.gates if pending[n] > 0)
         # walk into the cycle to name a gate actually on it
@@ -228,35 +219,37 @@ def _flip(pol):
     return ((pol & POS) and NEG) | ((pol & NEG) and POS)
 
 
+def _child_marks(gate: Gate, p: int):
+    """The polarity marks a gate of polarity ``p`` passes to each child
+    occurrence: NOT flips, AND/OR pass through, IMPLY flips its antecedent,
+    parity/equivalence/cardinality force both, ITE forces both on the
+    condition and passes through to the branches."""
+    func, kids = gate.func, gate.children
+    if func in (AND, OR):
+        return [(child, p) for child in kids]
+    if func in (XOR, EVEN, EQUIV, CARD):
+        return [(child, BOTH) for child in kids]
+    if func == NOT:
+        return [(kids[0], _flip(p))]
+    if func == IMPLY:
+        return [(kids[0], _flip(p)), (kids[1], p)]
+    if func == ITE:
+        return [(kids[0], BOTH), (kids[1], p), (kids[2], p)]
+    return []
+
+
 def polarity(circuit: Circuit) -> dict[str, int]:
     """Least polarity map: constrained-true gates seed +, constrained-false
-    seed -, and marks flow to children (NOT flips, AND/OR pass through, IMPLY
-    flips its antecedent, parity/equivalence/cardinality force both, ITE
-    forces both on the condition and passes through to the branches)."""
+    seed -, and marks flow to children as ``_child_marks`` says."""
     order = validate(circuit)
     pol = {name: 0 for name in circuit.gates}
     for name, req in circuit.constraints:
         pol[name] |= POS if req else NEG
     for name in reversed(order):
         p = pol[name]
-        if not p:
-            continue
-        gate = circuit.gates[name]
-        if gate.func == NOT:
-            pol[gate.children[0]] |= _flip(p)
-        elif gate.func in (AND, OR):
-            for child in gate.children:
-                pol[child] |= p
-        elif gate.func == IMPLY:
-            pol[gate.children[0]] |= _flip(p)
-            pol[gate.children[1]] |= p
-        elif gate.func in (XOR, EVEN, EQUIV, CARD):
-            for child in gate.children:
-                pol[child] |= BOTH
-        elif gate.func == ITE:
-            pol[gate.children[0]] |= BOTH
-            pol[gate.children[1]] |= p
-            pol[gate.children[2]] |= p
+        if p:
+            for child, marks in _child_marks(circuit.gates[name], p):
+                pol[child] |= marks
     return pol
 
 
@@ -267,25 +260,9 @@ def polarity_is_closed(circuit: Circuit, pol: dict) -> bool:
             return False
     for name, gate in circuit.gates.items():
         p = pol.get(name, 0)
-        if not p:
-            continue
-        need = {}
-        if gate.func == NOT:
-            need[gate.children[0]] = _flip(p)
-        elif gate.func in (AND, OR):
-            need = {c: p for c in gate.children}
-        elif gate.func == IMPLY:
-            need[gate.children[0]] = _flip(p)
-            need[gate.children[1]] = need.get(gate.children[1], 0) | p
-        elif gate.func in (XOR, EVEN, EQUIV, CARD):
-            need = {c: BOTH for c in gate.children}
-        elif gate.func == ITE:
-            need[gate.children[0]] = BOTH
-            for c in gate.children[1:]:
-                need[c] = need.get(c, 0) | p
-        for child, marks in need.items():
-            if pol.get(child, 0) & marks != marks:
-                return False
+        if p and any(pol.get(child, 0) & marks != marks
+                     for child, marks in _child_marks(gate, p)):
+            return False
     return True
 
 
@@ -313,64 +290,84 @@ def _card_surjective(gate: Gate) -> bool:
 def nsi_reduce(circuit: Circuit) -> Circuit:
     """Replace a gate over pairwise-distinct, non-shared, unconstrained free
     inputs by a fresh free input (same id), deleting the consumed inputs.
-    Cardinality gates qualify only when their value is not constant."""
+    Cardinality gates qualify only when their value is not constant.
+
+    A rewrite turns one gate into an input and deletes inputs that only it
+    read, so it disables no other candidate and changes no live gate's
+    parents: the result does not depend on the order of the rewrites, and
+    after one only the rewritten gate's parents need another look."""
     out = circuit.copy()
-    while True:
-        parents = out.parent_index()
-        constrained = {name for name, _ in out.constraints}
-        target = None
-        for name in sorted(out.gates):
-            gate = out.gates[name]
-            if gate.func in (INPUT, TRUE, FALSE):
-                continue
-            kids = gate.children
-            if len(set(kids)) != len(kids):
-                continue
-            if not all(out.gates[c].func == INPUT
-                       and len(parents[c]) == 1
-                       and c not in constrained
-                       for c in kids):
-                continue
-            if gate.func == CARD and not _card_surjective(gate):
-                continue
-            target = name
-            break
-        if target is None:
-            return out
-        for child in out.gates[target].children:
+    parents = out.parent_index()
+    constrained = {name for name, _ in out.constraints}
+    work = list(out.gates)
+    while work:
+        name = work.pop()
+        gate = out.gates.get(name)  # None once consumed by a rewrite
+        if gate is None or gate.func in (INPUT, TRUE, FALSE):
+            continue
+        kids = gate.children
+        if len(set(kids)) != len(kids):
+            continue
+        if not all(out.gates[c].func == INPUT
+                   and len(parents[c]) == 1
+                   and c not in constrained
+                   for c in kids):
+            continue
+        if gate.func == CARD and not _card_surjective(gate):
+            continue
+        for child in kids:
             del out.gates[child]
-        out.gates[target] = Gate(INPUT)
+        out.gates[name] = Gate(INPUT)
+        work.extend(parent for parent, _ in parents[name])
+    return out
 
 
-def _safe_const(circuit, parents, constrained, name, value, memo):
-    """Can `name` collapse to the constant `value` using only shape-safe
-    rewrites (child removal in AND/OR, NOT flip, IMPLY short-circuit)?"""
-    key = (name, value)
-    if key in memo:
-        return memo[key]
-    memo[key] = True  # acyclic upward, optimistic for diamonds
-    ok = all(req == value for req in constrained.get(name, ()))
-    if ok:
-        for parent, pos in parents.get(name, ()):
-            gate = circuit.gates[parent]
-            if gate.func in (AND, OR):
+def _lift(func, pos, value):
+    """The constant a parent of function ``func`` takes if its child at
+    ``pos`` becoming ``value`` collapses it, for the shape-safe folds (child
+    removal in AND/OR, NOT flip, IMPLY short-circuit); None where no fold
+    applies (ITE branches, parity/equivalence/cardinality positions).  An
+    AND/OR collapses to ``value`` when it is absorbing or the last child."""
+    if func in (AND, OR):
+        return value
+    if func == NOT:
+        return not value
+    if func == IMPLY and value == (pos == 1):
+        return True
+    return None
+
+
+def _safe_const(gates, parents, constrained, start, memo):
+    """Can gate ``start[0]`` collapse to the constant ``start[1]`` using only
+    shape-safe rewrites?  It can when no constraint asks for the other value
+    and every parent still holding it can take the constant ``_lift`` gives.
+    A memoized walk upward over ``parents`` (which may name gates that have
+    since dropped the child) with an explicit stack."""
+    stack = [start]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        name, value = key
+        ok = all(req == value for req in constrained.get(name, ()))
+        ups = []
+        for parent, pos in parents[name] if ok else ():
+            gate = gates[parent]
+            if name in gate.children:
                 # conservatively assume the parent may collapse too
-                ok = _safe_const(circuit, parents, constrained, parent, value, memo)
-            elif gate.func == NOT:
-                ok = _safe_const(circuit, parents, constrained, parent,
-                                 not value, memo)
-            elif gate.func == IMPLY:
-                if (pos == 0 and value is False) or (pos == 1 and value is True):
-                    ok = _safe_const(circuit, parents, constrained, parent,
-                                     True, memo)
-                else:
+                up = _lift(gate.func, pos, value)
+                if up is None:
                     ok = False
-            else:  # ITE branches and parity/equivalence/cardinality positions
-                ok = False
-            if not ok:
-                break
-    memo[key] = ok
-    return ok
+                    break
+                ups.append((parent, up))
+        todo = [up for up in ups if up not in memo] if ok else ()
+        if todo:
+            stack.extend(todo)
+            continue
+        memo[key] = ok and all(memo[up] for up in ups)
+        stack.pop()
+    return memo[start]
 
 
 def mir_reduce(circuit: Circuit):
@@ -382,21 +379,20 @@ def mir_reduce(circuit: Circuit):
     """
     out = circuit.copy()
     fixed: dict[str, bool] = {}
+    # folds only drop children, so an entry here may be stale, never missing
+    parents = out.parent_index()
     while True:
         pol = polarity(out)
-        parents = out.parent_index()
         constrained: dict[str, list] = {}
         for name, req in out.constraints:
             constrained.setdefault(name, []).append(req)
         memo: dict = {}
         batch = []
         for name in sorted(out.inputs()):
-            if pol[name] == POS and _safe_const(out, parents, constrained,
-                                                name, True, memo):
-                batch.append((name, True))
-            elif pol[name] == NEG and _safe_const(out, parents, constrained,
-                                                  name, False, memo):
-                batch.append((name, False))
+            if pol[name] in (POS, NEG):
+                key = (name, pol[name] == POS)
+                if _safe_const(out.gates, parents, constrained, key, memo):
+                    batch.append(key)
         if not batch:
             return out, fixed
 
@@ -404,38 +400,24 @@ def mir_reduce(circuit: Circuit):
         for name, value in batch:
             fixed[name] = value
             del out.gates[name]
-        while queue:
-            name, value = queue.pop(0)
-            out.constraints = [(n, r) for n, r in out.constraints
-                               if not (n == name and r == value)]
-            holders = [(p, g) for p, g in out.gates.items() if name in g.children]
-            for pname, gate in holders:
-                if gate.func in (AND, OR):
-                    absorbing = (gate.func == AND and not value) or \
-                                (gate.func == OR and value)
-                    if absorbing:
-                        out.gates[pname] = Gate(TRUE if value else FALSE)
-                        queue.append((pname, value))
-                        continue
+        for name, value in queue:  # grows as constants fold upward
+            for pname, pos in parents[name]:
+                gate = out.gates[pname]
+                if name not in gate.children:
+                    continue
+                const = _lift(gate.func, pos, value)
+                if const is None:
+                    raise CircuitError(
+                        f"constant folded into unfoldable gate {pname!r}")
+                if gate.func in (AND, OR) and value != (gate.func == OR):
                     remaining = tuple(c for c in gate.children if c != name)
                     if remaining:
                         out.gates[pname] = Gate(gate.func, remaining)
-                    else:
-                        const = gate.func == AND  # empty AND true, empty OR false
-                        out.gates[pname] = Gate(TRUE if const else FALSE)
-                        queue.append((pname, const))
-                elif gate.func == NOT:
-                    out.gates[pname] = Gate(TRUE if not value else FALSE)
-                    queue.append((pname, not value))
-                elif gate.func == IMPLY:
-                    # only the short-circuiting positions are ever folded
-                    assert (gate.children[0] == name and value is False) or \
-                           (gate.children[1] == name and value is True)
-                    out.gates[pname] = Gate(TRUE)
-                    queue.append((pname, True))
-                else:
-                    raise CircuitError(
-                        f"constant folded into unfoldable gate {pname!r}")
+                        continue
+                out.gates[pname] = Gate(TRUE if const else FALSE)
+                queue.append((pname, const))
+        folded = set(queue)
+        out.constraints = [c for c in out.constraints if c not in folded]
 
 
 def simplify_fixpoint(circuit: Circuit, passes=("coi", "nsi", "mir")):

@@ -138,10 +138,10 @@ def blocking_literal(formula, lits, exclude_id):
     whose complement never occurs qualifies vacuously."""
     wset = set(lits)
     for lit in sorted(wset, key=lit_key):
-        for cid in sorted(formula.occ_ids(-lit)):
+        for cid in formula.occ_ids(-lit):
             if cid == exclude_id:
                 continue
-            if not _resolvent_is_taut(wset, lit, formula.lit_sets[cid]):
+            if not _resolvent_is_taut(wset, lit, formula.clauses[cid]):
                 break
         else:
             return lit
@@ -172,18 +172,18 @@ def _covered(formula, wset, exclude_id):
         progress = False
         for lit in sorted(wset, key=lit_key):
             candidates = []
-            for cid in sorted(formula.occ_ids(-lit)):
+            for cid in formula.occ_ids(-lit):
                 if cid == exclude_id:
                     continue
-                cset = formula.lit_sets[cid]
-                if not _resolvent_is_taut(wset, lit, cset):
-                    candidates.append(cset)
+                clause = formula.clauses[cid]
+                if not _resolvent_is_taut(wset, lit, clause):
+                    candidates.append(clause)
             if not candidates:
                 steps.append((tuple(sorted(wset, key=lit_key)), lit))
                 return True, lit, wset, steps, added
             covered = set(candidates[0])
-            for cset in candidates[1:]:
-                covered &= cset
+            for clause in candidates[1:]:
+                covered.intersection_update(clause)
             covered.discard(-lit)
             new = covered - wset
             if not new:
@@ -272,8 +272,7 @@ def eliminate_subsumed(formula, mode=ExtensionMode.NONE, stack=None,
         ext, _, added = _extend(formula, formula.clauses[cid], cid, mode,
                                 early_exit=False)
         stats.literals_added += added
-        own = formula.lit_sets[cid]
-        if _find_subsumer_of(formula, cid, own, ext) is not None:
+        if _find_subsumer_of(formula, cid, ext) is not None:
             return None
         # removals only shrink the extension and the subsumer candidates
         return ()
@@ -281,12 +280,13 @@ def eliminate_subsumed(formula, mode=ExtensionMode.NONE, stack=None,
     return _worklist(formula, stats, check)
 
 
-def _find_subsumer_of(formula, cid, own, ext):
+def _find_subsumer_of(formula, cid, ext):
     """Lowest id of a clause other than ``cid`` contained in ``ext``; a
-    duplicate of ``own`` counts only with a lower id.  A nonempty subsumer
-    occurs under its first literal, which is in ``ext``, so only those
-    occurrence lists and the empty clauses are looked at."""
-    clauses, lit_sets = formula.clauses, formula.lit_sets
+    duplicate of clause ``cid`` counts only with a lower id.  A nonempty
+    subsumer occurs under its first literal, which is in ``ext``, so only
+    those occurrence lists and the empty clauses are looked at."""
+    clauses = formula.clauses
+    own = clauses[cid]
     best = None
     for oid in formula.short:
         if not clauses[oid] and oid != cid and (own or oid < cid):
@@ -296,8 +296,8 @@ def _find_subsumer_of(formula, cid, own, ext):
             if (clauses[oid][0] != l or oid == cid
                     or (best is not None and oid > best)):
                 continue
-            oset = lit_sets[oid]
-            if oset <= ext and (oset != own or oid < cid):
+            other = clauses[oid]
+            if ext.issuperset(other) and (other != own or oid < cid):
                 best = oid
     return best
 
@@ -371,7 +371,7 @@ def is_extended_tautology(formula, cid, mode):
 def find_subsumer(formula, cid, mode):
     ext, _, _ = _extend(formula, formula.clauses[cid], cid, mode,
                         early_exit=False)
-    return _find_subsumer_of(formula, cid, formula.lit_sets[cid], ext)
+    return _find_subsumer_of(formula, cid, ext)
 
 
 def is_blocked(formula, cid, mode):

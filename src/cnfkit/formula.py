@@ -60,11 +60,10 @@ class CnfFormula:
     """Clause multiset with an always-consistent literal occurrence index and
     an index of the clauses with at most one literal."""
 
-    __slots__ = ("clauses", "lit_sets", "occ", "short", "num_vars", "_next_id")
+    __slots__ = ("clauses", "occ", "short", "num_vars", "_next_id")
 
     def __init__(self, num_vars: int = 0, clauses=None):
         self.clauses: dict[int, tuple[int, ...]] = {}
-        self.lit_sets: dict[int, frozenset] = {}
         self.occ: dict[int, set[int]] = {}
         self.short: set[int] = set()
         self.num_vars = num_vars
@@ -84,7 +83,6 @@ class CnfFormula:
 
     def remove_clause(self, cid: int) -> tuple[int, ...]:
         clause = self.clauses.pop(cid)
-        del self.lit_sets[cid]
         self._detach(cid, clause)
         return clause
 
@@ -96,7 +94,6 @@ class CnfFormula:
 
     def _attach(self, cid, clause):
         self.clauses[cid] = clause
-        self.lit_sets[cid] = frozenset(clause)
         for l in clause:
             self.occ.setdefault(l, set()).add(cid)
         if len(clause) <= 1:
@@ -130,7 +127,6 @@ class CnfFormula:
     def copy(self) -> "CnfFormula":
         f = CnfFormula.__new__(CnfFormula)
         f.clauses = dict(self.clauses)
-        f.lit_sets = dict(self.lit_sets)
         f.occ = {l: set(ids) for l, ids in self.occ.items()}
         f.short = set(self.short)
         f.num_vars = self.num_vars
@@ -142,7 +138,6 @@ class CnfFormula:
         compare."""
         occ: dict[int, set[int]] = {}
         for cid, clause in self.clauses.items():
-            assert self.lit_sets[cid] == frozenset(clause)
             assert clause == tuple(sorted(set(clause), key=lit_key))
             for l in clause:
                 occ.setdefault(l, set()).add(cid)
@@ -501,9 +496,11 @@ def substitute_equivalent_literals(formula: CnfFormula, stack=None) -> CnfFormul
 def _resolvents(formula, var, pos, neg):
     """The non-tautological resolvents on ``var``, in (pos, neg) id order."""
     for pid in pos:
-        pc = formula.lit_sets[pid]
+        pc = formula.clauses[pid]
         for nid in neg:
-            merged = (pc | formula.lit_sets[nid]) - {var, -var}
+            merged = set(pc).union(formula.clauses[nid])
+            merged.discard(var)
+            merged.discard(-var)
             if not any(-l in merged for l in merged):
                 yield merged
 

@@ -92,6 +92,18 @@ def parity_circuit(rng: random.Random, num_gates: int) -> Circuit:
     return circuit
 
 
+def or_chain(length: int, value: bool = True) -> Circuit:
+    """g_i = OR(g_{i-1}, x_i) over fresh inputs, the last gate constrained to
+    ``value``: one gate deeper per input."""
+    circuit = Circuit()
+    prev = circuit.add_input("x0")
+    for i in range(1, length + 1):
+        circuit.add_input(f"x{i}")
+        prev = circuit.add_gate(f"g{i}", OR, (prev, f"x{i}"))
+    circuit.add_constraint(prev, value)
+    return circuit
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -6,7 +6,11 @@ formulas and Tseitin encodings of seeded random circuits.  The digests are
 the SHA-256 of every output in corpus order; a change that alters any output
 of a technique changes that technique's digest.  The circuit preprocessing
 order also runs over a few larger satisfiable circuits, big enough for
-blocked clause elimination to need four rounds or more.
+blocked clause elimination to need four rounds or more.  `encode` must keep
+writing byte-identical CNF and variable maps, with the full encoding and with
+the polarity-restricted one after COI, NSI and MIR, over seeded random
+circuits of every gate type, deep satisfiable circuits, OR chains and a wide
+cardinality gate.
 """
 
 import hashlib
@@ -15,11 +19,12 @@ import random
 import pytest
 
 from cnfkit.bench import gen_ephp, gen_php, gen_xor_unsat
-from cnfkit.circuit import normalize_circuit
+from cnfkit.circuit import CARD, Circuit, normalize_circuit
+from cnfkit.cli import main
 from cnfkit.elim import PipelineConfig, run_pipeline
 from cnfkit.encode import tseitin
-from cnfkit.io import parse_dimacs, write_dimacs
-from conftest import parity_circuit, random_circuit, random_formula
+from cnfkit.io import parse_dimacs, write_circuit, write_dimacs
+from conftest import or_chain, parity_circuit, random_circuit, random_formula
 
 GOLDEN = {
     "te":
@@ -81,8 +86,32 @@ def large_corpus():
             for gates in (200, 260, 320)]
 
 
+ENCODE_GOLDEN = {
+    "tst":
+        "35e607f2eb8d8d45a0e2e2772e714fb27b9dd17d396daa331438916ca7ff0fab",
+    "pg --simplify coi,nsi,mir":
+        "701139b8103258de4264d984c1537ca083fa0a4f7847f6745aa88dc9a7aa74a7",
+}
+
+
+def encode_corpus():
+    rng = random.Random(1107)
+    circuits = [random_circuit(rng, max_gates=60, max_inputs=16)
+                for _ in range(24)]
+    circuits += [parity_circuit(rng, gates)
+                 for gates in (40, 80, 120, 160, 200, 240)]
+    circuits += [or_chain(300), or_chain(600, False)]
+    card = Circuit()
+    card.add_gate("card", CARD, [card.add_input(f"w{i}") for i in range(300)],
+                  1, 2)
+    card.add_constraint("card")
+    circuits.append(card)
+    return [write_circuit(c) for c in circuits]
+
+
 CORPUS = corpus()
 LARGE_CORPUS = large_corpus()
+ENCODE_CORPUS = encode_corpus()
 
 
 def prep_digest(order, corpus=CORPUS):
@@ -106,3 +135,23 @@ def test_prep_output_is_unchanged(techniques):
 
 def test_prep_output_is_unchanged_on_large_circuits():
     assert prep_digest(PREP_ORDER.split(","), LARGE_CORPUS) == LARGE_GOLDEN
+
+
+def encode_digest(tmp_path, options):
+    """What `cnfkit encode --encoding OPTIONS` writes, CNF then map, hashed."""
+    digest = hashlib.sha256()
+    source, target = tmp_path / "in.bc", tmp_path / "out.cnf"
+    for text in ENCODE_CORPUS:
+        source.write_text(text)
+        assert main(["encode", str(source), str(target),
+                     "--encoding", *options.split()]) == 0
+        digest.update(target.read_bytes())
+        digest.update(b"--\n")
+        digest.update((tmp_path / "out.cnf.map").read_bytes())
+        digest.update(b"==\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("options", sorted(ENCODE_GOLDEN))
+def test_encode_output_is_unchanged(tmp_path, options):
+    assert encode_digest(tmp_path, options) == ENCODE_GOLDEN[options]

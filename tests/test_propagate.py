@@ -40,7 +40,7 @@ def reference_extension(formula, base, exclude_id, hidden):
         for cid in formula.ids():
             if cid == exclude_id:
                 continue
-            cset = formula.lit_sets[cid]
+            cset = frozenset(formula.clauses[cid])
             diff = cset - wset
             if len(diff) > 1:
                 continue

@@ -33,9 +33,9 @@ def reference_bounded_variable_elim(formula, growth_bound, stack):
                 continue
             resolvents = []
             for pid in pos:
-                pc = formula.lit_sets[pid]
+                pc = frozenset(formula.clauses[pid])
                 for nid in neg:
-                    merged = (pc | formula.lit_sets[nid]) - {var, -var}
+                    merged = (pc | frozenset(formula.clauses[nid])) - {var, -var}
                     if any(-l in merged for l in merged):
                         continue
                     resolvents.append(merged)
@@ -76,7 +76,7 @@ def reference_find_subsumer_of(formula, cid, own, ext):
     for oid in formula.ids():
         if oid == cid:
             continue
-        oset = formula.lit_sets[oid]
+        oset = frozenset(formula.clauses[oid])
         if oset <= ext and (oset != own or oid < cid):
             return oid
     return None
@@ -85,7 +85,7 @@ def reference_find_subsumer_of(formula, cid, own, ext):
 def reference_find_subsumer(formula, cid, mode):
     ext, _, _ = _extend(formula, formula.clauses[cid], cid, mode,
                         early_exit=False)
-    return reference_find_subsumer_of(formula, cid, formula.lit_sets[cid], ext)
+    return reference_find_subsumer_of(formula, cid, frozenset(formula.clauses[cid]), ext)
 
 
 def reference_tautologies(formula, mode, stack, stats):
@@ -114,7 +114,7 @@ def reference_subsumed(formula, mode, stack, stats):
             ext, _, added = _extend(formula, formula.clauses[cid], cid, mode,
                                     early_exit=False)
             stats.literals_added += added
-            own = formula.lit_sets[cid]
+            own = frozenset(formula.clauses[cid])
             if reference_find_subsumer_of(formula, cid, own, ext) is not None:
                 formula.remove_clause(cid)
                 stats.clauses_removed += 1
