@@ -424,8 +424,12 @@ def simplify_fixpoint(circuit: Circuit, passes=("coi", "nsi", "mir")):
     """Cycle COI, NSI, and MIR until the circuit stops changing.
 
     Returns (circuit, fixed_inputs): inputs MIR fixed are folded away from the
-    circuit and reported in the sidecar map.
+    circuit and reported in the sidecar map.  An unknown pass name is a
+    ValueError.
     """
+    for name in passes:
+        if name not in ("coi", "nsi", "mir"):
+            raise ValueError(f"unknown simplification pass {name!r}")
     current = circuit.copy()
     fixed: dict[str, bool] = {}
     while True:

@@ -12,17 +12,19 @@ CNFKIT_ORACLE_BOUND overrides the default oracle variable bound.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import bench, oracle
 from .circuit import normalize_circuit, simplify_fixpoint
-from .elim import PipelineConfig, TechniqueId, run_pipeline
+from .elim import PipelineConfig, run_pipeline
 from .encode import plaisted_greenbaum, tseitin
 from .formula import satisfies
-from .io import (atomic_write, parse_circuit, parse_dimacs_with_report,
-                 render_stats, run_external_solver, write_dimacs)
+from .io import (SolverResult, atomic_write, model_text, parse_circuit,
+                 parse_dimacs_with_report, parse_model, render_stats,
+                 run_external_solver, write_dimacs)
 from .reconstruct import ReconstructionStack, reconstruct_model
 
 EXIT_OK = 0
@@ -31,9 +33,12 @@ EXIT_DISAGREE = 2
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 
+GENERATORS = {"php": bench.gen_php, "ephp": bench.gen_ephp,
+              "xorring": bench.gen_xor_unsat}
+
 
 def _oracle_bound(args):
-    if getattr(args, "bound", None) is not None:
+    if args.bound is not None:
         return args.bound
     env = os.environ.get("CNFKIT_ORACLE_BOUND")
     return int(env) if env else oracle.DEFAULT_BOUND
@@ -51,17 +56,16 @@ def _load_cnf(path, strict=False):
     return formula
 
 
+def _names(text):
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def cmd_prep(args):
-    techniques = [t.strip() for t in args.techniques.split(",") if t.strip()]
-    try:
-        order = [TechniqueId(t) for t in techniques]
-    except ValueError as exc:
-        print(f"error: unknown technique: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     config = PipelineConfig(global_fixpoint=args.fixpoint,
                             ve_growth_bound=args.ve_bound)
     formula = _load_cnf(args.input, strict=args.strict)
-    formula, stack, report = run_pipeline(formula, order, config)
+    formula, stack, report = run_pipeline(formula, _names(args.techniques),
+                                          config)
     # compact the declared variable count to what the result mentions
     formula.num_vars = formula.max_mentioned_var()
     atomic_write(args.output, write_dimacs(formula))
@@ -76,12 +80,7 @@ def cmd_encode(args):
     circuit = parse_circuit(_read(args.input))
     fixed = {}
     if args.simplify:
-        passes = tuple(p.strip() for p in args.simplify.split(",") if p.strip())
-        for p in passes:
-            if p not in ("coi", "nsi", "mir"):
-                print(f"error: unknown simplification pass {p!r}", file=sys.stderr)
-                return EXIT_ERROR
-        circuit, fixed = simplify_fixpoint(circuit, passes)
+        circuit, fixed = simplify_fixpoint(circuit, _names(args.simplify))
     circuit = normalize_circuit(circuit)
     if args.encoding == "tst":
         formula, vm = tseitin(circuit)
@@ -98,41 +97,15 @@ def cmd_encode(args):
 
 
 def cmd_gen(args):
-    try:
-        if args.family == "php":
-            formula = bench.gen_php(args.n)
-        elif args.family == "ephp":
-            formula = bench.gen_ephp(args.n)
-        else:
-            formula = bench.gen_xor_unsat(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    atomic_write(args.output, write_dimacs(formula))
+    atomic_write(args.output, write_dimacs(GENERATORS[args.family](args.n)))
     return EXIT_OK
-
-
-def _read_model(path):
-    model = {}
-    for line in _read(path).splitlines():
-        stripped = line.strip()
-        if not stripped or stripped[0] in "cs":
-            continue
-        tokens = stripped.split()
-        if tokens[0] == "v":
-            tokens = tokens[1:]
-        for tok in tokens:
-            lit = int(tok)
-            if lit:
-                model[abs(lit)] = lit > 0
-    return model
 
 
 def cmd_verify(args):
     if args.reconstruct:
         stack_path, model_path, original_path = args.reconstruct
         stack = ReconstructionStack.from_text(_read(stack_path))
-        model = _read_model(model_path)
+        model = parse_model(_read(model_path))
         original = _load_cnf(original_path)
         repaired = reconstruct_model(stack, model, original.num_vars)
         if satisfies(original, repaired):
@@ -140,15 +113,12 @@ def cmd_verify(args):
             return EXIT_OK
         print("c reconstructed model does not satisfy the original")
         return EXIT_DISAGREE
+    if len(args.formulas) != 2:
+        raise ValueError("verify needs two CNF files or --reconstruct")
     bound = _oracle_bound(args)
     fa = _load_cnf(args.formulas[0])
     fb = _load_cnf(args.formulas[1])
-    try:
-        agree = oracle.equisat(fa, fb, bound)
-    except oracle.BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    if agree:
+    if oracle.equisat(fa, fb, bound):
         print("c equisatisfiable")
         return EXIT_OK
     print("c satisfiability differs")
@@ -158,24 +128,16 @@ def cmd_verify(args):
 def cmd_solve(args):
     formula = _load_cnf(args.input)
     if args.oracle:
-        try:
-            model = oracle.brute_force_sat(formula, _oracle_bound(args))
-        except oracle.BoundExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        if model is None:
-            print("s UNSATISFIABLE")
-            return EXIT_UNSAT
-        print("s SATISFIABLE")
-        lits = [v if model[v] else -v for v in sorted(model)]
-        print("v " + " ".join(str(l) for l in lits) + " 0")
-        return EXIT_SAT
-    result = run_external_solver(args.solver, formula, timeout=args.timeout)
+        model = oracle.brute_force_sat(formula, _oracle_bound(args))
+        result = SolverResult("unsat" if model is None else "sat", model)
+    else:
+        result = run_external_solver(args.solver, formula,
+                                     timeout=args.timeout)
     if result.status == "sat":
         print("s SATISFIABLE")
-        if result.model:
-            lits = [v if result.model[v] else -v for v in sorted(result.model)]
-            print("v " + " ".join(str(l) for l in lits) + " 0")
+        # the oracle always gives a v line; a solver that gave none gets none
+        if args.oracle or result.model:
+            print(model_text(result.model), end="")
         return EXIT_SAT
     if result.status == "unsat":
         print("s UNSATISFIABLE")
@@ -184,6 +146,7 @@ def cmd_solve(args):
     return EXIT_ERROR
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cnfkit",
@@ -216,7 +179,7 @@ def build_parser():
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("gen", help="generate a benchmark family instance")
-    p.add_argument("family", choices=("php", "ephp", "xorring"))
+    p.add_argument("family", choices=tuple(GENERATORS))
     p.add_argument("n", type=int)
     p.add_argument("output")
     p.set_defaults(func=cmd_gen)
@@ -240,30 +203,17 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # keep the documented exit-code contract: usage errors are 1
-        code = 0 if exc.code in (0, None) else EXIT_ERROR
-        if argv is None:
-            sys.exit(code)
-        return code
-    if args.command == "verify" and not args.reconstruct and len(args.formulas) != 2:
-        print("error: verify needs two CNF files or --reconstruct", file=sys.stderr)
-        return _finish(EXIT_ERROR, argv)
+        return 0 if exc.code in (0, None) else EXIT_ERROR
     try:
-        code = args.func(args)
+        return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_ERROR
-    return _finish(code, argv)
-
-
-def _finish(code, argv):
-    if argv is None:
-        sys.exit(code)
-    return code
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

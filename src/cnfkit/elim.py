@@ -426,7 +426,10 @@ def run_pipeline(formula: CnfFormula, order, config=None):
     config.global_fixpoint the whole order repeats until nothing changes.
     """
     config = config or PipelineConfig()
-    order = [TechniqueId(t) for t in order]
+    try:
+        order = [TechniqueId(t) for t in order]
+    except ValueError as exc:
+        raise ValueError(f"unknown technique: {exc}") from None
     if len(set(order)) != len(order):
         raise ValueError("techniques in a pipeline must be distinct")
     stack = ReconstructionStack()

@@ -6,6 +6,9 @@ are warnings (benchmark files are sloppy) unless strict mode is on; a literal
 above the declared variable count is always an error.  Tautological clauses
 are dropped and counted.  A line holding only `%` ends the clauses, as in the
 SATLIB files that close with `%` and `0` lines.
+
+A model is the `v` text of the SAT competition: `parse_model` reads an
+assignment from it and `model_text` writes one.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +17,8 @@ from ..formula import CnfFormula, normalize_clause
 
 __all__ = ["DimacsError", "MalformedHeader", "LiteralOutOfRange",
            "UnterminatedClause", "ParseReport", "parse_dimacs",
-           "parse_dimacs_with_report", "write_dimacs"]
+           "parse_dimacs_with_report", "write_dimacs", "parse_model",
+           "model_text"]
 
 
 class DimacsError(Exception):
@@ -119,3 +123,30 @@ def write_dimacs(formula: CnfFormula) -> str:
     for clause in formula.clauses.values():
         lines.append(" ".join([str(l) for l in clause] + ["0"]))
     return "\n".join(lines) + "\n"
+
+
+def parse_model(text: str) -> dict[int, bool]:
+    """Assignment given by a model text.  Blank, `c` and `s` lines are
+    skipped, a line may start with `v`, and 0 is ignored; a non-integer
+    token or a variable given both values is an error."""
+    model: dict[int, bool] = {}
+    for line in text.splitlines():
+        tokens = line.split()
+        if not tokens or tokens[0][0] in "cs":
+            continue
+        if tokens[0] == "v":
+            del tokens[0]
+        for tok in tokens:
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise DimacsError(f"bad model token {tok!r}") from None
+            if lit and model.setdefault(abs(lit), lit > 0) != (lit > 0):
+                raise DimacsError(f"contradictory model literal {lit}")
+    return model
+
+
+def model_text(model: dict[int, bool]) -> str:
+    """One `v` line with the literals in variable order, ending in 0."""
+    lits = [str(v if model[v] else -v) for v in sorted(model)]
+    return "v " + " ".join(lits) + " 0\n"

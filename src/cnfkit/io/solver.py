@@ -11,7 +11,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 
-from .dimacs import write_dimacs
+from .dimacs import DimacsError, parse_model, write_dimacs
 
 __all__ = ["SolverResult", "SpawnFailure", "SolverParseFailure",
            "run_external_solver"]
@@ -30,23 +30,6 @@ class SolverResult:
     status: str  # "sat" | "unsat" | "unknown"
     model: dict | None = None
     reason: str | None = None
-
-
-def _parse_model(lines):
-    model: dict[int, bool] = {}
-    for line in lines:
-        for tok in line.split()[1:]:
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise SolverParseFailure(f"bad model token {tok!r}") from None
-            if lit == 0:
-                continue
-            var = abs(lit)
-            if model.get(var) == (lit < 0):
-                raise SolverParseFailure(f"contradictory model literal {lit}")
-            model[var] = lit > 0
-    return model
 
 
 def run_external_solver(path, formula, timeout=None) -> SolverResult:
@@ -72,7 +55,10 @@ def run_external_solver(path, formula, timeout=None) -> SolverResult:
     v_lines = [l for l in out_lines if l.startswith("v")]
 
     if proc.returncode == 10 or "s SATISFIABLE" in status_lines:
-        return SolverResult("sat", model=_parse_model(v_lines))
+        try:
+            return SolverResult("sat", model=parse_model("\n".join(v_lines)))
+        except DimacsError as exc:
+            raise SolverParseFailure(str(exc)) from None
     if proc.returncode == 20 or "s UNSATISFIABLE" in status_lines:
         return SolverResult("unsat")
     if any(l == "s UNKNOWN" for l in status_lines):

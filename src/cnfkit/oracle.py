@@ -21,16 +21,17 @@ _var_masks: dict[tuple[int, int], int] = {}
 
 
 def _true_mask(var: int, n: int) -> int:
-    """Mask of assignments (over n vars) in which `var` is true."""
+    """Mask of assignments (over n >= var vars) in which `var` is true."""
     key = (var, n)
     mask = _var_masks.get(key)
     if mask is None:
-        half = 1 << (var - 1)
-        chunk = ((1 << half) - 1) << half
-        period = half * 2
-        reps = (1 << n) // period
-        # chunk repeated at every multiple of the period
-        mask = chunk * ((1 << (reps * period)) - 1) // ((1 << period) - 1) if reps else 0
+        # one period, `width` zeros then `width` ones, doubled up to 2^n bits
+        width = 1 << (var - 1)
+        mask = ((1 << width) - 1) << width
+        width *= 2
+        while width < 1 << n:
+            mask |= mask << width
+            width *= 2
         _var_masks[key] = mask
     return mask
 
@@ -81,9 +82,8 @@ def all_models(formula, bound: int = DEFAULT_BOUND):
     """Yield every satisfying total assignment in enumeration order."""
     n = _check_bound(formula, bound)
     mask = _formula_mask(formula, n)
-    k = 0
     while mask:
-        if mask & 1:
-            yield {v: bool((k >> (v - 1)) & 1) for v in range(1, n + 1)}
-        mask >>= 1
-        k += 1
+        low = mask & -mask
+        mask ^= low
+        k = low.bit_length() - 1
+        yield {v: bool((k >> (v - 1)) & 1) for v in range(1, n + 1)}

@@ -238,6 +238,11 @@ class TestSimplifyFixpoint:
         out, fixed = simplify_fixpoint(Circuit())
         assert not out.gates and not fixed
 
+    def test_unknown_pass_rejected(self):
+        c = circuit_of([("x", INPUT), ("o", NOT, ("x",))], ["o"])
+        with pytest.raises(ValueError, match="'foo'"):
+            simplify_fixpoint(c, ("coi", "foo"))
+
     def test_preserves_satisfiability(self, rng):
         for _ in range(300):
             c = random_circuit(rng, max_gates=8, max_inputs=5)

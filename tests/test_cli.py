@@ -3,7 +3,7 @@ import stat
 
 import pytest
 
-from cnfkit.cli import main
+from cnfkit.cli import build_parser, main
 from cnfkit.io import parse_dimacs
 
 AND_CIRCUIT = "BC1.1\ng := AND(x, y);\nASSIGN g;\n"
@@ -146,6 +146,18 @@ class TestVerify:
         a = write(tmp_path / "a.cnf", "p cnf 1 1\n1 0\n")
         assert run("verify", a) == 1
 
+    def test_contradictory_model_is_malformed(self, tmp_path, capsys):
+        original = write(tmp_path / "orig.cnf", "p cnf 2 2\n1 2 0\n-1 -2 0\n")
+        stack = tmp_path / "s.stack"
+        run("prep", original, str(tmp_path / "red.cnf"), "--techniques", "bce",
+            "--stack", str(stack))
+        model = write(tmp_path / "m.txt", "1 -1\n")
+        capsys.readouterr()
+        assert run("verify", "--reconstruct", str(stack), model, original) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: contradictory model literal -1\n"
+        assert captured.out == ""
+
 
 class TestSolve:
     def test_oracle_sat(self, tmp_path, capsys):
@@ -174,6 +186,18 @@ class TestSolve:
         stub.chmod(stub.stat().st_mode | stat.S_IEXEC)
         assert run("solve", inp, "--solver", str(stub)) == 10
 
+    def test_v_lines_only_when_there_is_a_model(self, tmp_path, capsys):
+        # the oracle prints a v line even with no variables; a solver that
+        # printed no v line gets none
+        empty = write(tmp_path / "e.cnf", "p cnf 0 0\n")
+        assert run("solve", empty, "--oracle") == 10
+        assert capsys.readouterr().out == "s SATISFIABLE\nv  0\n"
+        stub = tmp_path / "stub.sh"
+        stub.write_text("#!/bin/sh\necho 's SATISFIABLE'\nexit 10\n")
+        stub.chmod(stub.stat().st_mode | stat.S_IEXEC)
+        assert run("solve", empty, "--solver", str(stub)) == 10
+        assert capsys.readouterr().out == "s SATISFIABLE\n"
+
 
 class TestUsage:
     def test_no_command(self):
@@ -181,3 +205,11 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert run("--help") == 0
+
+    def test_one_parser_per_process(self, tmp_path):
+        run("gen", "php", "1", str(tmp_path / "a.cnf"))
+        before = build_parser.cache_info()
+        run("gen", "php", "2", str(tmp_path / "b.cnf"))
+        run("frobnicate")
+        after = build_parser.cache_info()
+        assert after.misses == before.misses and after.currsize == 1

@@ -221,6 +221,10 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline(F(), ["te", "te"])
 
+    def test_unknown_technique_named(self):
+        with pytest.raises(ValueError, match="unknown technique: 'bogus'"):
+            run_pipeline(F([1, 2]), ["bogus"])
+
     def test_unsat_surfaces(self):
         f, _, _ = run_pipeline(F([1], [-1]), ["fle", "bce"])
         assert f.has_empty_clause

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from cnfkit.formula import CnfFormula
 from cnfkit.io import (CircuitFormatError, DimacsError, LiteralOutOfRange,
                        MalformedHeader, SolverParseFailure, SpawnFailure,
-                       UnknownFunction, UnterminatedClause, parse_circuit,
-                       parse_dimacs, parse_dimacs_with_report, render_stats,
-                       run_external_solver, write_circuit, write_dimacs)
+                       UnknownFunction, UnterminatedClause, model_text,
+                       parse_circuit, parse_dimacs, parse_dimacs_with_report,
+                       parse_model, render_stats, run_external_solver,
+                       write_circuit, write_dimacs)
 from cnfkit.elim import ElimReport, TechniqueId
 from cnfkit.reconstruct import ReconstructionStack, StackFormatError
 from conftest import random_circuit, random_formula
@@ -87,6 +88,28 @@ class TestWriteDimacs:
                 f.add_clause(clause)
         text = write_dimacs(f)
         assert write_dimacs(parse_dimacs(text)) == text
+
+
+class TestModelText:
+    def test_reader_skips_comments_and_status(self):
+        text = "c by hand\ns SATISFIABLE\n\nv 1 -2\nv 3 0\n-4 0\n"
+        assert parse_model(text) == {1: True, 2: False, 3: True, 4: False}
+
+    def test_round_trip(self, rng):
+        for _ in range(200):
+            model = {v: rng.random() < 0.5 for v in rng.sample(range(1, 30), 8)}
+            assert parse_model(model_text(model)) == model
+        assert model_text({2: False, 1: True}) == "v 1 -2 0\n"
+        assert model_text({}) == "v  0\n"
+
+    def test_bad_token(self):
+        with pytest.raises(DimacsError, match="bad model token 'x'"):
+            parse_model("v 1 x 0\n")
+
+    def test_contradiction(self):
+        assert parse_model("1 1\n") == {1: True}
+        with pytest.raises(DimacsError, match="contradictory model literal -1"):
+            parse_model("1 -1\n")
 
 
 class TestCircuitFormat:

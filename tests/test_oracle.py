@@ -2,8 +2,8 @@ import pytest
 
 from cnfkit.bench import gen_php
 from cnfkit.formula import CnfFormula, bcp
-from cnfkit.oracle import (BoundExceeded, all_models, brute_force_sat,
-                           count_models, equisat)
+from cnfkit.oracle import (BoundExceeded, _true_mask, all_models,
+                           brute_force_sat, count_models, equisat)
 from conftest import random_formula
 
 
@@ -87,3 +87,23 @@ class TestAllModels:
         assert len(models) == 3
         assert models[0] == {1: True, 2: False}
         assert models[-1] == {1: True, 2: True}
+
+    def test_order_matches_counting(self, rng):
+        # every satisfying assignment, in increasing binary-counting order
+        for _ in range(100):
+            f = random_formula(rng, max_vars=7, max_clauses=10)
+            n = f.num_vars
+            expected = []
+            for k in range(1 << n):
+                assign = {v: bool((k >> (v - 1)) & 1) for v in range(1, n + 1)}
+                if all(any(assign[abs(l)] == (l > 0) for l in c)
+                       for c in f.clauses.values()):
+                    expected.append(assign)
+            assert list(all_models(f)) == expected
+
+
+def test_true_mask_matches_bit_definition():
+    for n in range(1, 11):
+        for var in range(1, n + 1):
+            expected = sum(1 << k for k in range(1 << n) if (k >> (var - 1)) & 1)
+            assert _true_mask(var, n) == expected
