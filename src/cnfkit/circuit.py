@@ -241,7 +241,11 @@ def _child_marks(gate: Gate, p: int):
 def polarity(circuit: Circuit) -> dict[str, int]:
     """Least polarity map: constrained-true gates seed +, constrained-false
     seed -, and marks flow to children as ``_child_marks`` says."""
-    order = validate(circuit)
+    return _polarity(circuit, validate(circuit))
+
+
+def _polarity(circuit, order):
+    """``polarity`` along a topological order from ``validate``."""
     pol = {name: 0 for name in circuit.gates}
     for name, req in circuit.constraints:
         pol[name] |= POS if req else NEG
@@ -469,14 +473,6 @@ def normalize_circuit(circuit: Circuit) -> Circuit:
         out.add_gate(name, func, children, lo, hi)
         return name
 
-    def xor_tree(kids, top_name=None):
-        if len(kids) == 1:
-            return kids[0]
-        mid = (len(kids) + 1) // 2
-        left = xor_tree(kids[:mid])
-        right = xor_tree(kids[mid:])
-        return emit(top_name or fresh("xor"), XOR, (left, right))
-
     for name in validate(circuit):
         gate = circuit.gates[name]
         kids = [mapping[c] for c in gate.children]
@@ -489,12 +485,12 @@ def normalize_circuit(circuit: Circuit) -> Circuit:
             if len(kids) == 1:
                 mapping[name] = kids[0]
             else:
-                mapping[name] = xor_tree(kids, top_name=name)
+                mapping[name] = _xor_tree(kids, emit, fresh, name)
         elif func == EVEN:
             if len(kids) == 1:
                 mapping[name] = emit(name, NOT, (kids[0],))
             else:
-                mapping[name] = emit(name, NOT, (xor_tree(kids),))
+                mapping[name] = emit(name, NOT, (_xor_tree(kids, emit, fresh),))
         elif func == EQUIV:
             if len(kids) == 1:
                 mapping[name] = emit(name, TRUE)
@@ -513,6 +509,18 @@ def normalize_circuit(circuit: Circuit) -> Circuit:
     for cname, req in circuit.constraints:
         out.add_constraint(mapping[cname], req)
     return out
+
+
+def _xor_tree(kids, emit, fresh, top_name=None):
+    """Balanced chain of binary XOR gates over ``kids``, left half first.
+    A module-level function, so no closure refers to itself and keeps the
+    normalized circuit in a reference cycle."""
+    if len(kids) == 1:
+        return kids[0]
+    mid = (len(kids) + 1) // 2
+    left = _xor_tree(kids[:mid], emit, fresh)
+    right = _xor_tree(kids[mid:], emit, fresh)
+    return emit(top_name or fresh("xor"), XOR, (left, right))
 
 
 def _expand_card(name, kids, lo, hi, emit, fresh):
@@ -557,7 +565,13 @@ def _expand_card(name, kids, lo, hi, emit, fresh):
         memo[key] = node
         return node
 
-    result = build(lo, hi, 0)
+    try:
+        result = build(lo, hi, 0)
+    finally:
+        # ``build`` refers to itself and, through ``emit``, to the normalized
+        # circuit: drop it on every exit (RecursionError included), so the
+        # circuit does not wait for the cyclic collector
+        build = None
     if result is True or result is False:
         return emit(name, TRUE if result else FALSE)
     # the top of the expansion is an existing node: alias the card gate to it

@@ -20,11 +20,12 @@ import sys
 from . import bench, oracle
 from .circuit import normalize_circuit, simplify_fixpoint
 from .elim import PipelineConfig, run_pipeline
-from .encode import plaisted_greenbaum, tseitin
+from .encode import _encode
 from .formula import satisfies
 from .io import (SolverResult, atomic_write, model_text, parse_circuit,
                  parse_dimacs_with_report, parse_model, render_stats,
                  run_external_solver, write_dimacs)
+from .io.dimacs import _dimacs_text
 from .reconstruct import ReconstructionStack, reconstruct_model
 
 EXIT_OK = 0
@@ -82,12 +83,10 @@ def cmd_encode(args):
     if args.simplify:
         circuit, fixed = simplify_fixpoint(circuit, _names(args.simplify))
     circuit = normalize_circuit(circuit)
-    if args.encoding == "tst":
-        formula, vm = tseitin(circuit)
-    else:
-        formula, vm = plaisted_greenbaum(circuit)
+    # the clauses go straight to text: no formula or occurrence index
+    clauses, vm = _encode(circuit, None, restricted=args.encoding == "pg")
     vm.fixed_inputs.update(fixed)
-    atomic_write(args.output, write_dimacs(formula))
+    atomic_write(args.output, _dimacs_text(vm.num_vars, clauses))
     doc = {"schema": "cnfkit-varmap/1",
            "vars": vm.gate_to_var,
            "fixed_inputs": vm.fixed_inputs}

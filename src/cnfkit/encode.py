@@ -11,8 +11,9 @@ set under the same variable map.
 
 from dataclasses import dataclass, field
 
-from .circuit import (AND, CARD, EQUIV, EVEN, FALSE, IMPLY, INPUT, ITE, NEG,
-                      NOT, OR, POS, TRUE, XOR, Circuit, polarity, validate)
+from .circuit import (AND, BOTH, CARD, EQUIV, EVEN, FALSE, IMPLY, INPUT, ITE,
+                      NEG, NOT, OR, POS, TRUE, XOR, Circuit, _polarity,
+                      validate)
 from .formula import CnfFormula, normalize_clause
 
 __all__ = ["VarMap", "UnnormalizedGate", "build_varmap", "gate_clauses",
@@ -40,7 +41,11 @@ class VarMap:
 def build_varmap(circuit: Circuit) -> VarMap:
     """Deterministic numbering: inputs first in id order, then the remaining
     gates in topological order."""
-    order = validate(circuit)
+    return _varmap(circuit, validate(circuit))
+
+
+def _varmap(circuit, order):
+    """``build_varmap`` along a topological order from ``validate``."""
     names = sorted(circuit.inputs())
     names += [n for n in order if circuit.gates[n].func != INPUT]
     return VarMap({name: i for i, name in enumerate(names, start=1)})
@@ -54,8 +59,9 @@ def gate_clauses(circuit: Circuit, name: str, vm: VarMap, side: str):
     if func in (CARD, EVEN) or (func in (XOR, EQUIV) and len(gate.children) != 2):
         raise UnnormalizedGate(f"gate {name!r} ({func}/{len(gate.children)}) "
                                "requires normalize_circuit first")
-    g = vm.var(name)
-    kids = [vm.var(c) for c in gate.children]
+    var = vm.gate_to_var
+    g = var[name]
+    kids = [var[c] for c in gate.children]
     pos = side == "pos"
 
     rows: list[list[int]] = []
@@ -114,39 +120,52 @@ def gate_clauses(circuit: Circuit, name: str, vm: VarMap, side: str):
     return clauses
 
 
-def _encode(circuit, vm, sides_of):
-    formula = CnfFormula(num_vars=vm.num_vars)
-    order = sorted(circuit.gates, key=vm.var)
-    for name in order:
-        for side in sides_of(name):
-            for clause in gate_clauses(circuit, name, vm, side):
-                formula.add_clause(clause)
+_SIDES = {0: (), POS: ("pos",), NEG: ("neg",), BOTH: ("pos", "neg")}
+
+
+def _encode(circuit, vm, restricted):
+    """The one clause producer behind both encodings and `cnfkit encode`.
+
+    Returns ``(clauses, vm)``: the canonical clauses in output order (gates
+    by variable, each gate's positive side before its negative one, then one
+    unit per constraint) and the variable map, built here when ``vm`` is
+    None.  Duplicates stay, as in the clause multiset.  ``restricted`` emits
+    only the sides the gate's polarity requires.  The circuit is validated
+    at most once: numbering and polarity share the order."""
+    order = None
+    if vm is None:
+        order = validate(circuit)
+        vm = _varmap(circuit, order)
+    if not restricted:
+        pol = dict.fromkeys(circuit.gates, BOTH)
+    else:
+        pol = _polarity(circuit, validate(circuit) if order is None else order)
+    var = vm.gate_to_var
+    clauses = []
+    for name in sorted(circuit.gates, key=var.__getitem__):
+        for side in _SIDES[pol[name]]:
+            clauses += gate_clauses(circuit, name, vm, side)
     for name, req in circuit.constraints:
-        formula.add_clause([vm.var(name) if req else -vm.var(name)])
-    return formula
+        clauses.append((var[name],) if req else (-var[name],))
+    return clauses, vm
+
+
+def _formula(clauses, vm):
+    formula = CnfFormula(num_vars=vm.num_vars)
+    for clause in clauses:
+        formula._append(clause)
+    return formula, vm
 
 
 def tseitin(circuit: Circuit, vm: VarMap | None = None):
     """Full encoding: both sides of every gate plus one unit per constraint.
     Models restricted to input variables are exactly the circuit's satisfying
     input assignments."""
-    vm = vm or build_varmap(circuit)
-    return _encode(circuit, vm, lambda name: ("pos", "neg")), vm
+    return _formula(*_encode(circuit, vm, restricted=False))
 
 
 def plaisted_greenbaum(circuit: Circuit, vm: VarMap | None = None):
     """Polarity-restricted encoding: a gate's positive side is emitted only
     when the gate can matter positively, the negative side only negatively.
     Constraint units are always emitted."""
-    vm = vm or build_varmap(circuit)
-    pol = polarity(circuit)
-
-    def sides_of(name):
-        sides = []
-        if pol[name] & POS:
-            sides.append("pos")
-        if pol[name] & NEG:
-            sides.append("neg")
-        return sides
-
-    return _encode(circuit, vm, sides_of), vm
+    return _formula(*_encode(circuit, vm, restricted=True))

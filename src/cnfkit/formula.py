@@ -9,6 +9,7 @@ identical literals are distinct members.
 
 import heapq
 from itertools import islice
+from operator import neg
 
 __all__ = [
     "lit_key",
@@ -43,8 +44,11 @@ def normalize_clause(lits) -> tuple[tuple[int, ...], bool]:
     seen = set(lits)
     if 0 in seen:
         raise ValueError("0 is not a literal")
-    taut = any(-l in seen for l in seen)
-    return tuple(sorted(seen, key=lit_key)), taut
+    if seen.isdisjoint(map(neg, seen)):
+        # no complementary pair: the variables are distinct, so ``abs`` is
+        # already a complete order and agrees with ``lit_key``
+        return tuple(sorted(seen, key=abs)), False
+    return tuple(sorted(seen, key=lit_key)), True
 
 
 def clause_satisfied(lits, assign: dict) -> bool:
@@ -72,13 +76,17 @@ class CnfFormula:
             self.add_clause(c)
 
     def add_clause(self, lits) -> int:
-        clause, _ = normalize_clause(lits)
+        return self._append(normalize_clause(lits)[0])
+
+    def _append(self, clause: tuple[int, ...]) -> int:
+        """Add a clause that is already canonical (as ``normalize_clause``
+        returns it), without normalizing it again."""
         cid = self._next_id
         self._next_id += 1
         self._attach(cid, clause)
-        for l in clause:
-            if abs(l) > self.num_vars:
-                self.num_vars = abs(l)
+        # canonical order puts the largest variable last
+        if clause and abs(clause[-1]) > self.num_vars:
+            self.num_vars = abs(clause[-1])
         return cid
 
     def remove_clause(self, cid: int) -> tuple[int, ...]:

@@ -89,7 +89,7 @@ def parse_dimacs_with_report(text: str, strict: bool = False):
             if taut:
                 report.tautologies_dropped += 1
             else:
-                formula.add_clause(clause)
+                formula._append(clause)
             current = []
             count += 1
             continue
@@ -119,9 +119,14 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfFormula:
 def write_dimacs(formula: CnfFormula) -> str:
     """Canonical text: exact counts, clauses in id order, literals in
     canonical order.  parse(write(f)) reproduces f."""
-    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
-    for clause in formula.clauses.values():
-        lines.append(" ".join([str(l) for l in clause] + ["0"]))
+    return _dimacs_text(formula.num_vars, formula.clauses.values())
+
+
+def _dimacs_text(num_vars: int, clauses) -> str:
+    """DIMACS text of a sized collection of clauses, in its order and with
+    each clause's literals as given."""
+    lines = [f"p cnf {num_vars} {len(clauses)}"]
+    lines += [" ".join([str(l) for l in clause] + ["0"]) for clause in clauses]
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -293,3 +295,46 @@ class TestNormalize:
                 assert gate.func not in (CARD, EVEN)
                 if gate.func in (XOR, EQUIV):
                     assert len(gate.children) == 2
+
+    def test_result_is_freed_without_the_cyclic_collector(self):
+        """No closure of the rewrite keeps the normalized circuit in a
+        reference cycle: with the collector off, it dies with its last
+        reference."""
+        c = circuit_of([("a", INPUT), ("b", INPUT), ("c", INPUT),
+                        ("x", XOR, ("a", "b", "c")),
+                        ("e", EVEN, ("a", "b", "c", "x")),
+                        ("k", CARD, ("a", "b", "c", "e"), 1, 2)], ["k"])
+        gc.collect()
+        gc.disable()
+        try:
+            out = normalize_circuit(c)
+            assert {g.func for g in out.gates.values()} >= {XOR, NOT, ITE}
+            ref = weakref.ref(out)
+            del out
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_recursion_error_leaves_no_circuit_behind(self):
+        """A CARD too wide for the recursive expansion fails with
+        RecursionError, and the half-built circuit is freed at once."""
+        c = Circuit()
+        c.add_gate("k", CARD, [c.add_input(f"w{i}") for i in range(1100)], 1, 2)
+        c.add_constraint("k")
+
+        def live_circuits():
+            return sum(isinstance(o, Circuit) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_circuits()
+            try:
+                normalize_circuit(c)
+            except RecursionError:
+                pass
+            else:
+                pytest.fail("expected a RecursionError")
+            assert live_circuits() == before
+        finally:
+            gc.enable()
