@@ -1,6 +1,6 @@
 """cnfkit: CNF preprocessing, clause elimination, and circuit encoding."""
 
-from .formula import (CnfFormula, bcp, bounded_variable_elim, build_big,
+from .formula import (CnfFormula, bcp, bounded_variable_elim,
                       equivalent_literal_substitution, failed_literal_probe,
                       normalize_clause, pure_literal_elim, satisfies)
 from .elim import (ElimReport, ExtensionMode, PipelineConfig, TechniqueId,
@@ -18,7 +18,7 @@ from .oracle import BoundExceeded, brute_force_sat, count_models, equisat
 __version__ = "0.1.0"
 
 __all__ = [
-    "CnfFormula", "bcp", "bounded_variable_elim", "build_big",
+    "CnfFormula", "bcp", "bounded_variable_elim",
     "equivalent_literal_substitution", "failed_literal_probe",
     "normalize_clause", "pure_literal_elim", "satisfies",
     "ElimReport", "ExtensionMode", "PipelineConfig", "TechniqueId",

@@ -469,9 +469,7 @@ def normalize_circuit(circuit: Circuit) -> Circuit:
                 taken.add(name)
                 return name
 
-    def emit(name, func, children=(), lo=None, hi=None):
-        out.add_gate(name, func, children, lo, hi)
-        return name
+    emit = out.add_gate
 
     for name in validate(circuit):
         gate = circuit.gates[name]
@@ -568,9 +566,9 @@ def _expand_card(name, kids, lo, hi, emit, fresh):
     try:
         result = build(lo, hi, 0)
     finally:
-        # ``build`` refers to itself and, through ``emit``, to the normalized
-        # circuit: drop it on every exit (RecursionError included), so the
-        # circuit does not wait for the cyclic collector
+        # ``build`` refers to itself and, through the bound method ``emit``,
+        # to the normalized circuit: drop it on every exit (RecursionError
+        # included), so the circuit does not wait for the cyclic collector
         build = None
     if result is True or result is False:
         return emit(name, TRUE if result else FALSE)

@@ -437,7 +437,8 @@ def run_pipeline(formula: CnfFormula, order, config=None):
     report.clauses_before = len(formula.clauses)
 
     while True:
-        signature = formula.clause_multiset()
+        if config.global_fixpoint:
+            signature = formula.clause_multiset()
         for tid in order:
             if formula.has_empty_clause:
                 break

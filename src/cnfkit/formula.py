@@ -19,11 +19,8 @@ __all__ = [
     "CnfFormula",
     "propagate",
     "bcp",
-    "propagate_units",
     "failed_literal_probe",
     "pure_literal_elim",
-    "BinaryImplicationGraph",
-    "build_big",
     "equivalent_literal_substitution",
     "substitute_equivalent_literals",
     "bounded_variable_elim",
@@ -250,21 +247,28 @@ def bcp(formula: CnfFormula, assumptions=()) -> dict | None:
     return None if conflict else {abs(l): l < 0 for l in false}
 
 
-def propagate_units(formula: CnfFormula, assign: dict) -> CnfFormula:
+def _apply_assignment(formula: CnfFormula, assign: dict):
     """Apply a top-level assignment: drop satisfied clauses, strip false
     literals, and keep one unit clause per assigned variable (so the result
-    stays logically equivalent)."""
-    for cid in formula.ids():
+    stays logically equivalent).
+
+    Only the clauses of assigned variables are visited, in ascending id
+    order, as a scan of the whole formula would reach them; every occurrence
+    set then sees the same sequence of additions and removals, so its later
+    iteration order is the same too.
+    """
+    ids = set()
+    for var in assign:
+        ids.update(formula.occ_ids(var))
+        ids.update(formula.occ_ids(-var))
+    for cid in sorted(ids):
         clause = formula.clauses[cid]
         if clause_satisfied(clause, assign):
             formula.remove_clause(cid)
-            continue
-        kept = [l for l in clause if abs(l) not in assign]
-        if len(kept) != len(clause):
-            formula.replace_clause(cid, kept)
+        else:
+            formula.replace_clause(cid, [l for l in clause if abs(l) not in assign])
     for var in sorted(assign):
         formula.add_clause([var if assign[var] else -var])
-    return formula
 
 
 def failed_literal_probe(formula: CnfFormula):
@@ -278,34 +282,27 @@ def failed_literal_probe(formula: CnfFormula):
     if formula.has_empty_clause:
         raise ValueError("formula already contains the empty clause")
     learned: list[int] = []
-    while True:
-        base = bcp(formula)
-        if base is None:
-            formula.add_clause([])
-            return formula, learned
-        progress = False
-        for var in range(1, formula.num_vars + 1):
-            if var in base:
-                continue
-            if not formula.occ_ids(var) and not formula.occ_ids(-var):
-                continue
+    # the top-level closure; once applied, unit propagation on the rewritten
+    # formula gives back exactly this assignment, so it is carried forward
+    assign = bcp(formula)
+    var = 1
+    while assign is not None and var <= formula.num_vars:
+        if var not in assign and (formula.occ_ids(var) or formula.occ_ids(-var)):
             for lit in (var, -var):
                 if propagate(formula, (-lit,))[1]:
                     learned.append(-lit)
                     formula.add_clause([-lit])
                     assign = bcp(formula)
-                    if assign is None:
-                        formula.add_clause([])
-                        return formula, learned
-                    propagate_units(formula, assign)
-                    progress = True
+                    if assign is not None:
+                        _apply_assignment(formula, assign)
+                    var = 0  # restart at variable 1
                     break
-            if progress:
-                break
-        if not progress:
-            if base:
-                propagate_units(formula, base)
-            return formula, learned
+        var += 1
+    if assign is None:
+        formula.add_clause([])
+    elif assign:
+        _apply_assignment(formula, assign)
+    return formula, learned
 
 
 class _DirtyVars:
@@ -362,53 +359,32 @@ def pure_literal_elim(formula: CnfFormula, stack=None) -> CnfFormula:
     return formula
 
 
-class BinaryImplicationGraph:
-    """Implication digraph of the binary clauses: (a or b) contributes the
-    edges -a -> b and -b -> a, so the edge set is closed under contraposition."""
+def _scc_tarjan(formula: CnfFormula) -> list[list[int]]:
+    """Strongly connected components of the binary implication graph, where
+    a binary clause (a or b) gives the edges -a -> b and -b -> a.  Iterative
+    Tarjan (*Depth-first search and linear graph algorithms*, SIAM J.
+    Comput. 1972) reading the edges of ``lit`` off the occurrences of
+    ``-lit``.  Every literal of a component with two or more members has an
+    incoming edge, so it occurs in the formula and is one of the roots."""
+    clauses, occ = formula.clauses, formula.occ
 
-    def __init__(self):
-        self.succ: dict[int, set[int]] = {}
+    def successors(lit):
+        for cid in occ.get(-lit, ()):
+            clause = clauses[cid]
+            if len(clause) == 2:
+                yield clause[1] if clause[0] == -lit else clause[0]
 
-    def add_binary(self, a: int, b: int):
-        self.succ.setdefault(-a, set()).add(b)
-        self.succ.setdefault(-b, set()).add(a)
-
-    def nodes(self) -> list[int]:
-        names = set(self.succ)
-        for targets in self.succ.values():
-            names |= targets
-        return sorted(names, key=lit_key)
-
-    def successors(self, lit: int) -> list[int]:
-        return sorted(self.succ.get(lit, ()), key=lit_key)
-
-    def edges(self):
-        return [(u, v) for u in self.nodes() for v in self.successors(u)]
-
-
-def build_big(formula: CnfFormula) -> BinaryImplicationGraph:
-    big = BinaryImplicationGraph()
-    for clause in formula.clauses.values():
-        if len(clause) == 2:
-            big.add_binary(clause[0], clause[1])
-    return big
-
-
-def _scc_tarjan(big: BinaryImplicationGraph) -> list[list[int]]:
-    """Iterative Tarjan over the implication graph, deterministic order."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
     stack: list[int] = []
     sccs: list[list[int]] = []
-    counter = 0
 
-    for root in big.nodes():
+    for root in occ:
         if root in index:
             continue
-        work = [(root, iter(big.successors(root)))]
-        index[root] = low[root] = counter
-        counter += 1
+        work = [(root, successors(root))]
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
         while work:
@@ -416,11 +392,10 @@ def _scc_tarjan(big: BinaryImplicationGraph) -> list[list[int]]:
             advanced = False
             for succ in it:
                 if succ not in index:
-                    index[succ] = low[succ] = counter
-                    counter += 1
+                    index[succ] = low[succ] = len(index)
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(big.successors(succ))))
+                    work.append((succ, successors(succ)))
                     advanced = True
                     break
                 if succ in on_stack:
@@ -452,9 +427,8 @@ def equivalent_literal_substitution(formula: CnfFormula):
     added and the substitution is empty.  After substitution, tautologies are
     dropped and duplicate clauses merge down to their lowest id.
     """
-    big = build_big(formula)
     subst: dict[int, int] = {}
-    for comp in _scc_tarjan(big):
+    for comp in _scc_tarjan(formula):
         members = set(comp)
         if any(-l in members for l in members):
             formula.add_clause([])

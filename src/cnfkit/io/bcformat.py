@@ -65,7 +65,11 @@ def parse_circuit(text: str) -> Circuit:
             if func_name not in _FUNC_NAMES:
                 raise UnknownFunction(f"line {lineno}: {func_name!r}")
             func = _FUNC_NAMES[func_name]
-            args = [a.strip() for a in m.group("args").split(",") if a.strip()]
+            # blank argument text is an empty list; otherwise every
+            # comma-separated part must be a name, so ``AND(x,,y)`` fails
+            arg_text = m.group("args")
+            args = ([a.strip() for a in arg_text.split(",")]
+                    if arg_text.strip() else [])
             lo = hi = None
             if func == CARD:
                 if m.group("lo") is None:

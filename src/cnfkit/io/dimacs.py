@@ -41,8 +41,6 @@ class UnterminatedClause(DimacsError):
 class ParseReport:
     warnings: list[str] = field(default_factory=list)
     tautologies_dropped: int = 0
-    declared_vars: int = 0
-    declared_clauses: int = 0
 
 
 def parse_dimacs_with_report(text: str, strict: bool = False):
@@ -74,7 +72,6 @@ def parse_dimacs_with_report(text: str, strict: bool = False):
 
     if header is None:
         raise MalformedHeader("missing `p cnf` header")
-    report.declared_vars, report.declared_clauses = header
 
     formula = CnfFormula(num_vars=header[0])
     current: list[int] = []

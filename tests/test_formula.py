@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnfkit.formula import (CnfFormula, bcp, bounded_variable_elim, build_big,
+from cnfkit.formula import (CnfFormula, bcp, bounded_variable_elim,
                             equivalent_literal_substitution,
                             failed_literal_probe, normalize_clause,
                             pure_literal_elim, satisfies)
@@ -133,26 +133,6 @@ class TestPureLiteralElim:
     def test_empty(self):
         f = pure_literal_elim(F(), ReconstructionStack())
         assert not f.clauses
-
-
-class TestBig:
-    def test_single_binary(self):
-        big = build_big(F([1, 2]))
-        assert big.edges() == [(-1, 2), (-2, 1)]
-
-    def test_empty(self):
-        assert build_big(F()).edges() == []
-
-    def test_two_binaries(self):
-        big = build_big(F([1, -2], [2, -1]))
-        assert set(big.edges()) == {(-1, -2), (2, 1), (-2, -1), (1, 2)}
-
-    def test_contraposition_closure(self, rng):
-        for _ in range(100):
-            f = random_formula(rng)
-            big = build_big(f)
-            edges = set(big.edges())
-            assert all((-v, -u) in edges for u, v in edges)
 
 
 class TestEquivalentLiteralSubstitution:

@@ -4,13 +4,14 @@ Each of the 16 techniques runs alone, and the circuit preprocessing order
 runs as a whole, over a fixed corpus: small benchmark families, seeded random
 formulas and Tseitin encodings of seeded random circuits.  The digests are
 the SHA-256 of every output in corpus order; a change that alters any output
-of a technique changes that technique's digest.  The circuit preprocessing
-order also runs over a few larger satisfiable circuits, big enough for
-blocked clause elimination to need four rounds or more.  `encode` must keep
-writing byte-identical CNF and variable maps, with the full encoding and with
-the polarity-restricted one after COI, NSI and MIR, over seeded random
-circuits of every gate type, deep satisfiable circuits, OR chains and a wide
-cardinality gate.
+of a technique changes that technique's digest, and the counters each
+technique reports on those runs have one digest of their own.  The circuit
+preprocessing order also runs over a few larger satisfiable circuits, big
+enough for blocked clause elimination to need four rounds or more.  `encode`
+must keep writing byte-identical CNF and variable maps, with the full
+encoding and with the polarity-restricted one after COI, NSI and MIR, over
+seeded random circuits of every gate type, deep satisfiable circuits, OR
+chains and a wide cardinality gate.
 """
 
 import hashlib
@@ -135,6 +136,28 @@ def test_prep_output_is_unchanged(techniques):
 
 def test_prep_output_is_unchanged_on_large_circuits():
     assert prep_digest(PREP_ORDER.split(","), LARGE_CORPUS) == LARGE_GOLDEN
+
+
+COUNTER_GOLDEN = \
+    "be88c49b15334da7db5ccb19af101c4b75e121ec0f654f77da5c09b58789ca04"
+
+
+def counter_digest():
+    """The counters of every technique in every run behind `GOLDEN`, hashed."""
+    digest = hashlib.sha256()
+    for techniques in sorted(GOLDEN):
+        for text in CORPUS:
+            _, _, report = run_pipeline(parse_dimacs(text), techniques.split(","),
+                                        PipelineConfig())
+            for name, s in report.techniques.items():
+                digest.update(repr((name, s.clauses_removed, s.clauses_added,
+                                    s.literals_added, s.rounds)).encode())
+            digest.update(b"==\n")
+    return digest.hexdigest()
+
+
+def test_technique_counters_are_unchanged():
+    assert counter_digest() == COUNTER_GOLDEN
 
 
 def encode_digest(tmp_path, options):

@@ -13,6 +13,7 @@ from cnfkit.io import (CircuitFormatError, DimacsError, LiteralOutOfRange,
                        parse_circuit, parse_dimacs, parse_dimacs_with_report,
                        parse_model, render_stats, run_external_solver,
                        write_circuit, write_dimacs)
+from cnfkit.cli import main
 from cnfkit.elim import ElimReport, TechniqueId
 from cnfkit.reconstruct import ReconstructionStack, StackFormatError
 from conftest import random_circuit, random_formula
@@ -144,6 +145,21 @@ class TestCircuitFormat:
     def test_missing_header(self):
         with pytest.raises(CircuitFormatError):
             parse_circuit("g := T();\n")
+
+    @pytest.mark.parametrize("definition", ["g := AND(x,,y);", "g := OR(x, );",
+                                            "g := T(,);", "g := AND(, x);"])
+    def test_empty_argument_rejected(self, tmp_path, capsys, definition):
+        text = f"BC1.1\n{definition}\nASSIGN g;\n"
+        with pytest.raises(CircuitFormatError, match="line 2"):
+            parse_circuit(text)
+        source = tmp_path / "in.bc"
+        source.write_text(text)
+        assert main(["encode", str(source), str(tmp_path / "out.cnf")]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+
+    def test_blank_argument_list(self):
+        c = parse_circuit("BC1.1\ng := T( );\nh := F();\n")
+        assert c.gates["g"].children == c.gates["h"].children == ()
 
     def test_round_trip_random(self, rng):
         for _ in range(300):
