@@ -112,6 +112,8 @@ _MIN_ARITY = {NOT: (1, 1), IMPLY: (2, 2), ITE: (3, 3),
 def validate(circuit: Circuit):
     """Check arities, references, and acyclicity.  Returns a deterministic
     topological order with children before parents."""
+    parents: dict[str, list] = {n: [] for n in circuit.gates}
+    pending = {}
     for name, gate in circuit.gates.items():
         lo_a, hi_a = _MIN_ARITY[gate.func]
         n = len(gate.children)
@@ -125,12 +127,12 @@ def validate(circuit: Circuit):
             if child not in circuit.gates:
                 raise UndefinedGateError(f"gate {name!r} references "
                                          f"undefined {child!r}")
+            parents[child].append(name)
+        pending[name] = n
     for name, _ in circuit.constraints:
         if name not in circuit.gates:
             raise UndefinedGateError(f"constraint references undefined {name!r}")
 
-    pending = {n: len(g.children) for n, g in circuit.gates.items()}
-    parents = circuit.parent_index()
     ready = [n for n, k in pending.items() if k == 0]
     heapq.heapify(ready)
     order = []
@@ -138,7 +140,7 @@ def validate(circuit: Circuit):
         # the smallest ready name first, for determinism
         name = heapq.heappop(ready)
         order.append(name)
-        for parent, _ in parents[name]:
+        for parent in parents[name]:
             pending[parent] -= 1
             if pending[parent] == 0:
                 heapq.heappush(ready, parent)
@@ -240,20 +242,22 @@ def _child_marks(gate: Gate, p: int):
 
 def polarity(circuit: Circuit) -> dict[str, int]:
     """Least polarity map: constrained-true gates seed +, constrained-false
-    seed -, and marks flow to children as ``_child_marks`` says."""
-    return _polarity(circuit, validate(circuit))
-
-
-def _polarity(circuit, order):
-    """``polarity`` along a topological order from ``validate``."""
-    pol = {name: 0 for name in circuit.gates}
+    seed -, and marks flow to children as ``_child_marks`` says.  Marks only
+    grow, so a worklist reaches the least map with no topological order,
+    and a gate is passed on again only when it gains a mark."""
+    pol = dict.fromkeys(circuit.gates, 0)
+    work = []
     for name, req in circuit.constraints:
-        pol[name] |= POS if req else NEG
-    for name in reversed(order):
-        p = pol[name]
-        if p:
-            for child, marks in _child_marks(circuit.gates[name], p):
+        mark = POS if req else NEG
+        if not pol[name] & mark:
+            pol[name] |= mark
+            work.append(name)
+    while work:
+        name = work.pop()
+        for child, marks in _child_marks(circuit.gates[name], pol[name]):
+            if marks & ~pol[child]:
                 pol[child] |= marks
+                work.append(child)
     return pol
 
 
@@ -381,6 +385,9 @@ def mir_reduce(circuit: Circuit):
 
     Returns (circuit, fixed_inputs).
     """
+    # the upward walk in ``_safe_const`` needs an acyclic circuit, and folds
+    # keep it valid, so one check on entry covers every round
+    validate(circuit)
     out = circuit.copy()
     fixed: dict[str, bool] = {}
     # folds only drop children, so an entry here may be stale, never missing
@@ -523,12 +530,6 @@ def _xor_tree(kids, emit, fresh, top_name=None):
 
 def _expand_card(name, kids, lo, hi, emit, fresh):
     memo: dict = {}
-    consts: dict[bool, str] = {}
-
-    def const(value):
-        if value not in consts:
-            consts[value] = emit(fresh("c"), TRUE if value else FALSE)
-        return consts[value]
 
     def build(lo, hi, i):
         rem = len(kids) - i

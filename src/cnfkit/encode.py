@@ -12,7 +12,7 @@ set under the same variable map.
 from dataclasses import dataclass, field
 
 from .circuit import (AND, BOTH, CARD, EQUIV, EVEN, FALSE, IMPLY, INPUT, ITE,
-                      NEG, NOT, OR, POS, TRUE, XOR, Circuit, _polarity,
+                      NEG, NOT, OR, POS, TRUE, XOR, Circuit, polarity,
                       validate)
 from .formula import CnfFormula, normalize_clause
 
@@ -41,19 +41,16 @@ class VarMap:
 def build_varmap(circuit: Circuit) -> VarMap:
     """Deterministic numbering: inputs first in id order, then the remaining
     gates in topological order."""
-    return _varmap(circuit, validate(circuit))
-
-
-def _varmap(circuit, order):
-    """``build_varmap`` along a topological order from ``validate``."""
+    order = validate(circuit)
     names = sorted(circuit.inputs())
     names += [n for n in order if circuit.gates[n].func != INPUT]
     return VarMap({name: i for i, name in enumerate(names, start=1)})
 
 
-def gate_clauses(circuit: Circuit, name: str, vm: VarMap, side: str):
-    """Clause table for one gate; ``side`` is "pos" or "neg".  Tautological
-    rows (possible with repeated children) are dropped."""
+def gate_clauses(circuit: Circuit, name: str, vm: VarMap, pol: int):
+    """Clause table for one gate: the positive rows when ``pol`` has
+    ``POS``, then the negative rows when it has ``NEG``.  Tautological rows
+    (possible with repeated children) are dropped."""
     gate = circuit.gates[name]
     func = gate.func
     if func in (CARD, EVEN) or (func in (XOR, EQUIV) and len(gate.children) != 2):
@@ -62,89 +59,63 @@ def gate_clauses(circuit: Circuit, name: str, vm: VarMap, side: str):
     var = vm.gate_to_var
     g = var[name]
     kids = [var[c] for c in gate.children]
-    pos = side == "pos"
 
-    rows: list[list[int]] = []
     if func == INPUT:
-        pass
+        pos, neg = [], []
     elif func == TRUE:
-        if not pos:
-            rows.append([g])
+        pos, neg = [], [[g]]
     elif func == FALSE:
-        if pos:
-            rows.append([-g])
+        pos, neg = [[-g]], []
     elif func == AND:
-        if pos:
-            rows.extend([-g, c] for c in kids)
-        else:
-            rows.append([g] + [-c for c in kids])
+        pos, neg = [[-g, c] for c in kids], [[g] + [-c for c in kids]]
     elif func == OR:
-        if pos:
-            rows.append([-g] + kids)
-        else:
-            rows.extend([g, -c] for c in kids)
+        pos, neg = [[-g] + kids], [[g, -c] for c in kids]
     elif func == NOT:
-        rows.append([-g, -kids[0]] if pos else [g, kids[0]])
+        pos, neg = [[-g, -kids[0]]], [[g, kids[0]]]
     elif func == IMPLY:
         a, b = kids
-        if pos:
-            rows.append([-g, -a, b])
-        else:
-            rows.extend(([g, a], [g, -b]))
+        pos, neg = [[-g, -a, b]], [[g, a], [g, -b]]
     elif func == XOR:
         a, b = kids
-        if pos:
-            rows.extend(([-g, a, b], [-g, -a, -b]))
-        else:
-            rows.extend(([g, -a, b], [g, a, -b]))
+        pos, neg = [[-g, a, b], [-g, -a, -b]], [[g, -a, b], [g, a, -b]]
     elif func == EQUIV:
         a, b = kids
-        if pos:
-            rows.extend(([-g, -a, b], [-g, a, -b]))
-        else:
-            rows.extend(([g, a, b], [g, -a, -b]))
+        pos, neg = [[-g, -a, b], [-g, a, -b]], [[g, a, b], [g, -a, -b]]
     elif func == ITE:
         c, t, e = kids
-        if pos:
-            rows.extend(([-g, -c, t], [-g, c, e]))
-        else:
-            rows.extend(([g, -c, -t], [g, c, -e]))
+        pos, neg = [[-g, -c, t], [-g, c, e]], [[g, -c, -t], [g, c, -e]]
     else:
         raise UnnormalizedGate(f"gate {name!r} has unencodable function {func}")
 
     clauses = []
-    for row in rows:
+    for row in (pos if pol & POS else []) + (neg if pol & NEG else []):
         clause, taut = normalize_clause(row)
         if not taut:
             clauses.append(clause)
     return clauses
 
 
-_SIDES = {0: (), POS: ("pos",), NEG: ("neg",), BOTH: ("pos", "neg")}
-
-
 def _encode(circuit, vm, restricted):
     """The one clause producer behind both encodings and `cnfkit encode`.
 
     Returns ``(clauses, vm)``: the canonical clauses in output order (gates
-    by variable, each gate's positive side before its negative one, then one
-    unit per constraint) and the variable map, built here when ``vm`` is
-    None.  Duplicates stay, as in the clause multiset.  ``restricted`` emits
-    only the sides the gate's polarity requires.  The circuit is validated
-    at most once: numbering and polarity share the order."""
-    order = None
+    by variable, each gate's positive rows before its negative ones, then
+    one unit per constraint) and the variable map, built by
+    ``build_varmap`` when ``vm`` is None.  Duplicates stay, as in the clause
+    multiset.  ``restricted`` emits only the rows the gate's ``polarity``
+    requires, and nothing for a gate without one; otherwise every gate gets
+    both.  Only ``build_varmap`` validates the circuit."""
     if vm is None:
-        order = validate(circuit)
-        vm = _varmap(circuit, order)
-    if not restricted:
-        pol = dict.fromkeys(circuit.gates, BOTH)
+        vm = build_varmap(circuit)
+    if restricted:
+        pol = polarity(circuit)
     else:
-        pol = _polarity(circuit, validate(circuit) if order is None else order)
+        pol = dict.fromkeys(circuit.gates, BOTH)
     var = vm.gate_to_var
     clauses = []
     for name in sorted(circuit.gates, key=var.__getitem__):
-        for side in _SIDES[pol[name]]:
-            clauses += gate_clauses(circuit, name, vm, side)
+        if pol[name]:
+            clauses += gate_clauses(circuit, name, vm, pol[name])
     for name, req in circuit.constraints:
         clauses.append((var[name],) if req else (-var[name],))
     return clauses, vm

@@ -21,7 +21,7 @@ from cnfkit.io import (parse_circuit, parse_dimacs, run_external_solver,
                        write_circuit, write_dimacs)
 from cnfkit.oracle import brute_force_sat
 from cnfkit.reconstruct import ReconstructionStack, reconstruct_model
-from conftest import random_circuit, random_formula
+from conftest import parity_circuit, random_circuit, random_formula
 
 NONE, HIDDEN, ASYM = (ExtensionMode.NONE, ExtensionMode.HIDDEN,
                       ExtensionMode.ASYMMETRIC)
@@ -155,6 +155,34 @@ def test_simulation_containment(circuit_corpus):
     report("simulation-containment",
            f"{len(circuit_corpus)} circuits, 0 violations, "
            f"{recon_checked} reconstructions, {time.perf_counter() - start:.1f}s")
+
+
+def test_simulation_containment_at_scale():
+    """The containment above is a set comparison and needs no oracle, so it
+    runs here on circuits far past the oracle's reach: random circuits of up
+    to 30-200 gates over up to 6-60 inputs, and deep parity circuits of
+    100-800 gates."""
+    start = time.perf_counter()
+    rng = random.Random(CIRCUIT_SEED + 1)
+    circuits = [random_circuit(rng, max_gates=rng.randint(30, 200),
+                               max_inputs=rng.randint(6, 60))
+                for _ in range(200)]
+    circuits += [parity_circuit(random.Random(n + 1), n)
+                 for n in (100, 200, 400, 800)]
+    large = 0
+    for circuit in circuits:
+        norm = normalize_circuit(circuit)
+        large += len(norm.gates) > 20
+        vm = build_varmap(norm)
+        tst, _ = tseitin(norm, vm)
+        bce_set = set(eliminate_blocked(tst, NONE).clauses.values())
+        simplified, _ = simplify_fixpoint(norm)
+        pg, _ = plaisted_greenbaum(simplified, vm)
+        assert bce_set <= set(pg.clauses.values()), \
+            f"containment violated: {sorted(bce_set - set(pg.clauses.values()))}"
+    report("simulation-containment-at-scale",
+           f"{len(circuits)} circuits, {large} over 20 normalized gates, "
+           f"0 violations, {time.perf_counter() - start:.1f}s")
 
 
 def test_encoding_correctness(circuit_corpus):

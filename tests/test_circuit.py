@@ -26,6 +26,13 @@ def circuit_of(gates, constraints=()):
     return c
 
 
+def and_or_cycle():
+    """a := AND(b, x), b := OR(a, y), a constrained true: not a circuit,
+    since a and b read each other."""
+    return circuit_of([("x", INPUT), ("y", INPUT), ("a", AND, ("b", "x")),
+                       ("b", OR, ("a", "y"))], ["a"])
+
+
 def sat_status(circuit):
     return circuit_sat(circuit) is not None
 
@@ -129,6 +136,10 @@ class TestPolarity:
         pol = polarity(c)
         assert pol["x"] == BOTH and pol["y"] == BOTH and pol["o"] == POS
 
+    def test_cycle_gets_the_least_map(self):
+        # marks only grow, so the least map exists without an order
+        assert polarity(and_or_cycle()) == dict.fromkeys("abxy", POS)
+
     def test_least_closure(self, rng):
         # removing any single mark must break closure
         checked = 0
@@ -216,6 +227,10 @@ class TestMir:
         out, fixed = mir_reduce(c)
         assert fixed == {} and out == c
 
+    def test_cycle_rejected(self):
+        with pytest.raises(CycleError):
+            mir_reduce(and_or_cycle())
+
 
 class TestSimplifyFixpoint:
     def test_multi_round_collapse(self):
@@ -239,6 +254,10 @@ class TestSimplifyFixpoint:
     def test_empty(self):
         out, fixed = simplify_fixpoint(Circuit())
         assert not out.gates and not fixed
+
+    def test_cycle_rejected(self):
+        with pytest.raises(CycleError):
+            simplify_fixpoint(and_or_cycle())
 
     def test_unknown_pass_rejected(self):
         c = circuit_of([("x", INPUT), ("o", NOT, ("x",))], ["o"])

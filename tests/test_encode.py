@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from cnfkit.circuit import (AND, FALSE, INPUT, ITE, NOT, OR, TRUE, XOR,
-                            Circuit, circuit_sat, normalize_circuit,
+from cnfkit.circuit import (AND, FALSE, INPUT, ITE, NEG, NOT, OR, POS, TRUE,
+                            XOR, Circuit, circuit_sat, normalize_circuit,
                             simplify_fixpoint)
 from cnfkit.elim import ExtensionMode, eliminate_blocked
 from cnfkit.encode import (UnnormalizedGate, build_varmap, gate_clauses,
@@ -37,20 +37,20 @@ class TestGateClauses:
         c = and_circuit()
         vm = build_varmap(c)
         g, x, y = vm.var("g"), vm.var("x"), vm.var("y")
-        assert gate_clauses(c, "g", vm, "pos") == [
+        assert gate_clauses(c, "g", vm, POS) == [
             tuple(sorted((-g, x), key=abs)), tuple(sorted((-g, y), key=abs))]
 
     def test_input_is_silent(self):
         c = and_circuit()
         vm = build_varmap(c)
-        assert gate_clauses(c, "x", vm, "pos") == []
-        assert gate_clauses(c, "x", vm, "neg") == []
+        assert gate_clauses(c, "x", vm, POS) == []
+        assert gate_clauses(c, "x", vm, NEG) == []
 
     def test_ite_table_matches_semantics(self):
         c = circuit_of([("c", INPUT), ("t", INPUT), ("e", INPUT),
                         ("g", ITE, ("c", "t", "e"))])
         vm = build_varmap(c)
-        rows = gate_clauses(c, "g", vm, "pos") + gate_clauses(c, "g", vm, "neg")
+        rows = gate_clauses(c, "g", vm, POS) + gate_clauses(c, "g", vm, NEG)
         names = ["c", "t", "e", "g"]
         for bits in itertools.product((False, True), repeat=4):
             assign = {vm.var(n): b for n, b in zip(names, bits)}
@@ -64,7 +64,7 @@ class TestGateClauses:
                         ("g", XOR, ("a", "b", "c2"))])
         vm = build_varmap(c)
         with pytest.raises(UnnormalizedGate):
-            gate_clauses(c, "g", vm, "pos")
+            gate_clauses(c, "g", vm, POS)
 
 
 class TestTseitin:

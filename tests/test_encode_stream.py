@@ -13,9 +13,9 @@ import pytest
 import cnfkit.encode
 import cnfkit.formula
 import cnfkit.io.dimacs
-from cnfkit.circuit import (AND, CARD, EQUIV, EVEN, FALSE, IMPLY, ITE, NOT,
-                            OR, TRUE, XOR, normalize_circuit, polarity,
-                            simplify_fixpoint)
+from cnfkit.circuit import (AND, CARD, EQUIV, EVEN, FALSE, IMPLY, ITE, NEG,
+                            NOT, OR, POS, TRUE, XOR, normalize_circuit,
+                            polarity, simplify_fixpoint)
 from cnfkit.cli import main
 from cnfkit.encode import (build_varmap, gate_clauses, plaisted_greenbaum,
                            tseitin)
@@ -43,9 +43,9 @@ def reference_encode(circuit, restricted):
     pol = polarity(circuit)
     formula = CnfFormula(num_vars=vm.num_vars)
     for name in sorted(circuit.gates, key=vm.var):
-        sides = ("pos", "neg")
+        sides = (POS, NEG)
         if restricted:
-            sides = [s for s, bit in (("pos", 1), ("neg", 2)) if pol[name] & bit]
+            sides = [side for side in (POS, NEG) if pol[name] & side]
         for side in sides:
             for clause in gate_clauses(circuit, name, vm, side):
                 formula.add_clause(reference_normalize(clause)[0])
@@ -209,6 +209,28 @@ def test_encode_normalizes_each_written_clause_once(tmp_path, normalize_calls,
         units = len(circuit.constraints)
         assert written > units
         assert len(normalize_calls) == written - units
+
+
+def test_encoders_call_gate_clauses_once_per_encoded_gate(monkeypatch):
+    """``tseitin`` asks for each gate's rows once, both sides at a time;
+    ``plaisted_greenbaum`` once for each gate with a polarity."""
+    calls = []
+
+    def counting(circuit, name, vm, pol):
+        calls.append(name)
+        return gate_clauses(circuit, name, vm, pol)
+
+    monkeypatch.setattr(cnfkit.encode, "gate_clauses", counting)
+    rng = random.Random(12)
+    for _ in range(50):
+        circuit = normalize_circuit(random_circuit(rng))
+        del calls[:]
+        tseitin(circuit)
+        assert sorted(calls) == sorted(circuit.gates)
+        del calls[:]
+        plaisted_greenbaum(circuit)
+        assert sorted(calls) == sorted(n for n, p in polarity(circuit).items()
+                                       if p)
 
 
 def test_parse_normalizes_each_clause_once(normalize_calls):
