@@ -179,7 +179,7 @@ def _covered(formula, wset, exclude_id):
                 if not _resolvent_is_taut(wset, lit, clause):
                     candidates.append(clause)
             if not candidates:
-                steps.append((tuple(sorted(wset, key=lit_key)), lit))
+                steps.append((tuple(wset), lit))
                 return True, lit, wset, steps, added
             covered = set(candidates[0])
             for clause in candidates[1:]:
@@ -188,7 +188,7 @@ def _covered(formula, wset, exclude_id):
             new = covered - wset
             if not new:
                 continue
-            steps.append((tuple(sorted(wset, key=lit_key)), lit))
+            steps.append((tuple(wset), lit))
             wset |= new
             added += len(new)
             if any(-k in wset for k in new):
@@ -319,7 +319,7 @@ def eliminate_blocked(formula, mode=ExtensionMode.NONE, stack=None,
         if lit is None:
             return {abs(l) for l in wset}
         if stack is not None:
-            stack.push_clause([(tuple(sorted(wset, key=lit_key)), lit)])
+            stack.push_clause([(wset, lit)])
         return None
 
     order = list(scan_order) if scan_order is not None else None

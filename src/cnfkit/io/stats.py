@@ -35,16 +35,9 @@ def render_stats(report) -> str:
         "schema": STATS_SCHEMA,
         "clauses_before": report.clauses_before,
         "clauses_after": report.clauses_after,
-        "techniques": {
-            tid: {
-                "clauses_removed": st.clauses_removed,
-                "clauses_added": st.clauses_added,
-                "literals_added": st.literals_added,
-                "rounds": st.rounds,
-                "seconds": st.seconds,
-            }
-            for tid, st in sorted(report.techniques.items())
-        },
+        # a ``TechniqueStats`` holds just its fields, in declaration order
+        "techniques": {tid: vars(st)
+                       for tid, st in sorted(report.techniques.items())},
     }
     return json.dumps(doc, indent=2) + "\n"
 

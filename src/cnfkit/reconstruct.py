@@ -1,11 +1,12 @@
 """Reconstruction stack: ordered witnesses that repair a model of a reduced
 formula into a model of the original.
 
-Two entry kinds exist.  A *clause entry* carries witness steps, each a clause
-snapshot paired with a witness literal; replay walks the steps in reverse and
-flips the witness to true whenever its snapshot is falsified.  A *variable
-entry* carries an eliminated variable with its saved clauses; replay picks any
-value for the variable that satisfies all of them.
+Two entry kinds exist.  A *clause entry* is a tuple of ``(lits, witness)``
+steps, each a clause snapshot in canonical order that contains its witness
+literal; replay walks the steps in reverse and flips the witness to true
+whenever its snapshot is falsified.  A *variable entry* (``VarEntry``) carries
+an eliminated variable with its saved clauses; replay picks any value for the
+variable that satisfies all of them.
 
 Text format (one entry per line group, entries in push order):
 
@@ -16,11 +17,9 @@ Text format (one entry per line group, entries in push order):
 
 from dataclasses import dataclass, field
 
-from .formula import clause_satisfied, lit_key
+from .formula import clause_satisfied, normalize_clause
 
 __all__ = [
-    "WitnessStep",
-    "ClauseEntry",
     "VarEntry",
     "ReconstructionStack",
     "ReconstructionError",
@@ -38,20 +37,24 @@ class StackFormatError(Exception):
 
 
 @dataclass(frozen=True)
-class WitnessStep:
-    lits: tuple[int, ...]
-    witness: int
-
-
-@dataclass(frozen=True)
-class ClauseEntry:
-    steps: tuple[WitnessStep, ...]
-
-
-@dataclass(frozen=True)
 class VarEntry:
     var: int
     saved: tuple[tuple[int, ...], ...]
+
+
+def _clauses(tokens):
+    """Integer tokens ``<lits...> 0 <lits...> 0`` as a list of clauses."""
+    clauses, cur = [], []
+    for tok in tokens:
+        lit = int(tok)
+        if lit:
+            cur.append(lit)
+        else:
+            clauses.append(tuple(cur))
+            cur = []
+    if cur:
+        raise ValueError("clause not terminated by 0")
+    return clauses
 
 
 @dataclass
@@ -59,18 +62,21 @@ class ReconstructionStack:
     entries: list = field(default_factory=list)
 
     def push_clause(self, steps):
-        """steps: iterable of (lits, witness); each witness occurs in its snapshot."""
-        packed = []
+        """steps: iterable of (lits, witness); each witness occurs in its
+        snapshot, which is stored in canonical order."""
+        entry = []
         for lits, witness in steps:
-            lits = tuple(sorted(lits, key=lit_key))
+            lits, _ = normalize_clause(lits)
             if witness not in lits:
                 raise ValueError(f"witness {witness} not in snapshot {lits}")
-            packed.append(WitnessStep(lits, witness))
-        if not packed:
+            entry.append((lits, witness))
+        if not entry:
             raise ValueError("clause entry needs at least one step")
-        self.entries.append(ClauseEntry(tuple(packed)))
+        self.entries.append(tuple(entry))
 
     def push_var(self, var, saved):
+        if var < 1:
+            raise ValueError(f"bad variable {var}")
         self.entries.append(VarEntry(var, tuple(tuple(c) for c in saved)))
 
     def __len__(self):
@@ -86,70 +92,45 @@ class ReconstructionStack:
                     parts.append("0")
                 lines.append(" ".join(parts))
             else:
-                lines.append(f"e c {len(entry.steps)}")
-                for step in entry.steps:
-                    parts = ["s", str(step.witness)]
-                    parts.extend(str(l) for l in step.lits)
+                lines.append(f"e c {len(entry)}")
+                for lits, witness in entry:
+                    parts = ["s", str(witness)]
+                    parts.extend(str(l) for l in lits)
                     parts.append("0")
                     lines.append(" ".join(parts))
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
     def from_text(cls, text: str) -> "ReconstructionStack":
+        """Parse ``to_text`` output; every entry goes through ``push_var`` or
+        ``push_clause``, so a parsed stack obeys the same rules as a pushed
+        one."""
         stack = cls()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        i = 0
-        try:
-            while i < len(lines):
-                tokens = lines[i].split()
-                i += 1
-                if tokens[:2] == ["e", "v"]:
-                    if len(tokens) < 4:
-                        raise StackFormatError(
-                            f"short variable entry: {lines[i-1]!r}")
-                    var, count = int(tokens[2]), int(tokens[3])
-                    if var < 1:
-                        raise StackFormatError(f"bad variable {var}")
-                    saved, cur = [], []
-                    for tok in tokens[4:]:
-                        lit = int(tok)
-                        if lit == 0:
-                            saved.append(tuple(cur))
-                            cur = []
-                        else:
-                            cur.append(lit)
-                    if cur or len(saved) != count:
-                        raise StackFormatError(
-                            "unterminated or miscounted clauses")
-                    stack.entries.append(VarEntry(var, tuple(saved)))
-                elif tokens[:2] == ["e", "c"]:
-                    if len(tokens) < 3:
-                        raise StackFormatError(
-                            f"short clause entry: {lines[i-1]!r}")
-                    count = int(tokens[2])
-                    if count < 1:
-                        raise StackFormatError(
-                            f"clause entry needs at least one step: {count}")
+        lines = ((n, line.split()) for n, line
+                 in enumerate(text.splitlines(), 1) if line.strip())
+        for n, tokens in lines:
+            try:
+                if tokens[:2] == ["e", "v"] and len(tokens) >= 4:
+                    saved = _clauses(tokens[4:])
+                    if len(saved) != int(tokens[3]):
+                        raise ValueError(f"{len(saved)} clauses, "
+                                         f"{tokens[3]} announced")
+                    stack.push_var(int(tokens[2]), saved)
+                elif tokens[:2] == ["e", "c"] and len(tokens) == 3:
                     steps = []
-                    for _ in range(count):
-                        if i >= len(lines):
-                            raise StackFormatError("missing step line")
-                        stoks = lines[i].split()
-                        i += 1
-                        if len(stoks) < 3 or stoks[0] != "s" or stoks[-1] != "0":
-                            raise StackFormatError(
-                                f"malformed step: {lines[i-1]!r}")
-                        witness = int(stoks[1])
-                        lits = tuple(int(t) for t in stoks[2:-1])
-                        if witness not in lits:
-                            raise StackFormatError(
-                                f"witness {witness} not in its snapshot")
-                        steps.append(WitnessStep(lits, witness))
-                    stack.entries.append(ClauseEntry(tuple(steps)))
+                    for _ in range(int(tokens[2])):
+                        n, tokens = next(lines, (n, []))
+                        lits = _clauses(tokens[2:])
+                        if tokens[:1] != ["s"] or len(lits) != 1:
+                            raise ValueError("expected one step line "
+                                             "'s <witness> <lits...> 0'")
+                        steps.append((lits[0], int(tokens[1])))
+                    stack.push_clause(steps)
                 else:
-                    raise StackFormatError(f"unknown entry line: {lines[i-1]!r}")
-        except ValueError as exc:
-            raise StackFormatError(f"bad token: {exc}") from None
+                    raise ValueError("expected 'e v <var> <n> <clauses...>' "
+                                     "or 'e c <k>'")
+            except ValueError as exc:
+                raise StackFormatError(f"stack line {n}: {exc}") from None
         return stack
 
 
@@ -164,11 +145,7 @@ def reconstruct_model(stack: ReconstructionStack, model: dict,
     assign = {v: False for v in range(1, original_num_vars + 1)}
     assign.update(model)
     for entry in reversed(stack.entries):
-        if isinstance(entry, ClauseEntry):
-            for step in reversed(entry.steps):
-                if not clause_satisfied(step.lits, assign):
-                    assign[abs(step.witness)] = step.witness > 0
-        else:
+        if isinstance(entry, VarEntry):
             for value in (False, True):
                 assign[entry.var] = value
                 if all(clause_satisfied(c, assign) for c in entry.saved):
@@ -176,4 +153,8 @@ def reconstruct_model(stack: ReconstructionStack, model: dict,
             else:
                 raise ReconstructionError(
                     f"no value of {entry.var} satisfies its saved clauses")
+        else:
+            for lits, witness in reversed(entry):
+                if not clause_satisfied(lits, assign):
+                    assign[abs(witness)] = witness > 0
     return assign

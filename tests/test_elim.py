@@ -307,3 +307,14 @@ class TestStackTextFormat:
     def test_witness_must_be_in_snapshot(self):
         with pytest.raises(ValueError):
             ReconstructionStack().push_clause([((1, 2), 3)])
+
+    def test_push_clause_stores_canonical_snapshots(self):
+        stack = ReconstructionStack()
+        stack.push_clause([({3, -1, 2}, 2), ((2, 2, 1), 1)])
+        assert stack.entries == [(((-1, 2, 3), 2), ((1, 2), 1))]
+
+    def test_push_rejects_zero_and_bad_variables(self):
+        with pytest.raises(ValueError):
+            ReconstructionStack().push_clause([((1, 0, 2), 1)])
+        with pytest.raises(ValueError):
+            ReconstructionStack().push_var(0, [(1,)])

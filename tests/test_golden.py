@@ -5,7 +5,8 @@ runs as a whole, over a fixed corpus: small benchmark families, seeded random
 formulas and Tseitin encodings of seeded random circuits.  The digests are
 the SHA-256 of every output in corpus order; a change that alters any output
 of a technique changes that technique's digest, and the counters each
-technique reports on those runs have one digest of their own.  The circuit
+technique reports on those runs have one digest of their own.  Every stack
+text those runs write must parse back to the same text.  The circuit
 preprocessing order also runs over a few larger satisfiable circuits, big
 enough for blocked clause elimination to need four rounds or more.  `encode`
 must keep writing byte-identical CNF and variable maps, with the full
@@ -14,6 +15,7 @@ seeded random circuits of every gate type, deep satisfiable circuits, OR
 chains and a wide cardinality gate.
 """
 
+import functools
 import hashlib
 import random
 
@@ -25,6 +27,7 @@ from cnfkit.cli import main
 from cnfkit.elim import PipelineConfig, run_pipeline
 from cnfkit.encode import tseitin
 from cnfkit.io import parse_dimacs, write_circuit, write_dimacs
+from cnfkit.reconstruct import ReconstructionStack
 from conftest import or_chain, parity_circuit, random_circuit, random_formula
 
 GOLDEN = {
@@ -110,32 +113,51 @@ def encode_corpus():
     return [write_circuit(c) for c in circuits]
 
 
-CORPUS = corpus()
-LARGE_CORPUS = large_corpus()
+CORPUS = tuple(corpus())
+LARGE_CORPUS = tuple(large_corpus())
 ENCODE_CORPUS = encode_corpus()
 
 
-def prep_digest(order, corpus=CORPUS):
-    """What `cnfkit prep --techniques ORDER --stack` writes, hashed."""
-    digest = hashlib.sha256()
+@functools.cache
+def prep_outputs(techniques, corpus=CORPUS):
+    """What `cnfkit prep --techniques TECHNIQUES --stack` writes for each
+    corpus text, as (CNF text, stack text) pairs."""
+    outputs = []
     for text in corpus:
-        formula, stack, _ = run_pipeline(parse_dimacs(text), order,
+        formula, stack, _ = run_pipeline(parse_dimacs(text),
+                                         techniques.split(","),
                                          PipelineConfig())
         formula.num_vars = formula.max_mentioned_var()
-        digest.update(write_dimacs(formula).encode())
+        outputs.append((write_dimacs(formula), stack.to_text()))
+    return tuple(outputs)
+
+
+def prep_digest(techniques, corpus=CORPUS):
+    """What `cnfkit prep --techniques TECHNIQUES --stack` writes, hashed."""
+    digest = hashlib.sha256()
+    for cnf_text, stack_text in prep_outputs(techniques, corpus):
+        digest.update(cnf_text.encode())
         digest.update(b"--\n")
-        digest.update(stack.to_text().encode())
+        digest.update(stack_text.encode())
         digest.update(b"==\n")
     return digest.hexdigest()
 
 
 @pytest.mark.parametrize("techniques", sorted(GOLDEN))
 def test_prep_output_is_unchanged(techniques):
-    assert prep_digest(techniques.split(",")) == GOLDEN[techniques]
+    assert prep_digest(techniques) == GOLDEN[techniques]
+
+
+@pytest.mark.parametrize("techniques", sorted(GOLDEN))
+def test_stack_text_round_trips(techniques):
+    """Every stack the pipeline writes parses back to the same text."""
+    for _, stack_text in prep_outputs(techniques):
+        stack = ReconstructionStack.from_text(stack_text)
+        assert stack.to_text() == stack_text
 
 
 def test_prep_output_is_unchanged_on_large_circuits():
-    assert prep_digest(PREP_ORDER.split(","), LARGE_CORPUS) == LARGE_GOLDEN
+    assert prep_digest(PREP_ORDER, LARGE_CORPUS) == LARGE_GOLDEN
 
 
 COUNTER_GOLDEN = \

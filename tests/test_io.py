@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import stat
@@ -17,6 +18,7 @@ from cnfkit.cli import main
 from cnfkit.elim import ElimReport, TechniqueId
 from cnfkit.reconstruct import ReconstructionStack, StackFormatError
 from conftest import random_circuit, random_formula
+from test_cli_fuzz import mangled_stack
 
 
 class TestParseDimacs:
@@ -198,9 +200,35 @@ class TestFuzzNeverCrashes:
             except (CircuitFormatError, CircuitError):
                 pass
 
+    def test_stack_fuzz(self, rng):
+        """A stack text parses, and then round-trips, or raises
+        StackFormatError; the CLI cannot tell, as it maps every error to 1."""
+        alphabet = "ecsv 0-12x\n"
+        good = "e c 2\ns 1 1 2 0\ns -3 1 -3 0\ne v 4 2 4 1 0 -4 2 0\n"
+        for _ in range(600):
+            kind = rng.randrange(3)
+            if kind == 0:
+                text = mangled_stack(rng)
+            elif kind == 1:
+                text = "".join(rng.choice(alphabet)
+                               for _ in range(rng.randint(0, 60)))
+            else:
+                chars = list(good)
+                for _ in range(rng.randint(1, 3)):
+                    chars[rng.randrange(len(chars))] = rng.choice(alphabet)
+                text = "".join(chars)
+            try:
+                stack = ReconstructionStack.from_text(text)
+            except StackFormatError:
+                continue
+            again = ReconstructionStack.from_text(stack.to_text())
+            assert again.entries == stack.entries
+
 
 class TestStackFormat:
-    @pytest.mark.parametrize("text", ["e c\n", "e c 0\n", "e c -2\n"])
+    @pytest.mark.parametrize("text", ["e c\n", "e c 0\n", "e c -2\n",
+                                      "e c 1\ns 1 1 0 2 0\n",
+                                      "e c 1 7\ns 1 1 0\n"])
     def test_clause_entry_framing(self, text):
         with pytest.raises(StackFormatError):
             ReconstructionStack.from_text(text)
@@ -249,7 +277,6 @@ class TestSolverRunner:
 
 class TestStats:
     def test_empty_report(self):
-        import json
         doc = json.loads(render_stats(ElimReport()))
         assert doc["schema"] == "cnfkit-stats/1"
         assert doc["techniques"] == {}
@@ -259,6 +286,13 @@ class TestStats:
         report = ElimReport()
         report.clauses_before = 2
         report.stats(TechniqueId.BCE).clauses_removed = 2
-        import json
         doc = json.loads(render_stats(report))
         assert doc["techniques"]["bce"]["clauses_removed"] == 2
+
+    def test_technique_counters_in_schema_order(self):
+        report = ElimReport()
+        report.stats(TechniqueId.BCE)
+        doc = json.loads(render_stats(report))
+        assert list(doc["techniques"]["bce"]) == [
+            "clauses_removed", "clauses_added", "literals_added", "rounds",
+            "seconds"]

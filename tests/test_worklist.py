@@ -13,8 +13,7 @@ from cnfkit.elim import (ExtensionMode, TechniqueStats, _covered, _extend,
                          eliminate_subsumed, eliminate_tautologies,
                          find_subsumer)
 from cnfkit.encode import tseitin
-from cnfkit.formula import (bounded_variable_elim, lit_key,
-                            pure_literal_elim)
+from cnfkit.formula import bounded_variable_elim, pure_literal_elim
 from cnfkit.reconstruct import ReconstructionStack
 from conftest import parity_circuit, random_circuit, random_formula
 
@@ -141,7 +140,7 @@ def reference_blocked(formula, mode, stack, stats, scan_order=None):
                 continue
             lit = blocking_literal(formula, wset, cid)
             if lit is not None:
-                stack.push_clause([(tuple(sorted(wset, key=lit_key)), lit)])
+                stack.push_clause([(wset, lit)])
                 formula.remove_clause(cid)
                 stats.clauses_removed += 1
                 changed = True
