@@ -87,12 +87,22 @@ def cmd_encode(args):
     clauses, vm = _encode(circuit, None, restricted=args.encoding == "pg")
     vm.fixed_inputs.update(fixed)
     atomic_write(args.output, _dimacs_text(vm.num_vars, clauses))
-    doc = {"schema": "cnfkit-varmap/1",
-           "vars": vm.gate_to_var,
-           "fixed_inputs": vm.fixed_inputs}
+    # the layout of json.dumps(doc, indent=2), whose `indent` would switch
+    # json to its pure-Python encoder
     atomic_write(args.map or args.output + ".map",
-                 json.dumps(doc, indent=2) + "\n")
+                 '{\n  "schema": "cnfkit-varmap/1",\n'
+                 f'  "vars": {_json_object(vm.gate_to_var)},\n'
+                 f'  "fixed_inputs": {_json_object(vm.fixed_inputs)}\n}}\n')
     return EXIT_OK
+
+
+def _json_object(obj):
+    """A flat dict as `json.dumps` writes it one level into `indent=2`.
+    The separators give that layout in one call to json's C encoder."""
+    if not obj:
+        return "{}"
+    items = json.dumps(obj, separators=(",\n    ", ": "))[1:-1]
+    return f"{{\n    {items}\n  }}"
 
 
 def cmd_gen(args):
