@@ -51,7 +51,7 @@ class UndefinedGateError(CircuitError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     func: str
     children: tuple[str, ...] = ()

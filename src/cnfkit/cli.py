@@ -20,12 +20,12 @@ import sys
 from . import bench, oracle
 from .circuit import normalize_circuit, simplify_fixpoint
 from .elim import PipelineConfig, run_pipeline
-from .encode import _encode
+from .encode import _encode, build_varmap
 from .formula import satisfies
 from .io import (SolverResult, atomic_write, model_text, parse_circuit,
                  parse_dimacs_with_report, parse_model, render_stats,
                  run_external_solver, write_dimacs)
-from .io.dimacs import _dimacs_text
+from .io.dimacs import _clause_lines
 from .reconstruct import ReconstructionStack, reconstruct_model
 
 EXIT_OK = 0
@@ -83,10 +83,18 @@ def cmd_encode(args):
     if args.simplify:
         circuit, fixed = simplify_fixpoint(circuit, _names(args.simplify))
     circuit = normalize_circuit(circuit)
-    # the clauses go straight to text: no formula or occurrence index
-    clauses, vm = _encode(circuit, None, restricted=args.encoding == "pg")
+    vm = build_varmap(circuit)
     vm.fixed_inputs.update(fixed)
-    atomic_write(args.output, _dimacs_text(vm.num_vars, clauses))
+    # each gate's clauses go to text as they are made: no clause list of the
+    # whole formula, and the header count is filled in at the end
+    chunks = [""]
+    count = 0
+    for rows in _encode(circuit, vm, restricted=args.encoding == "pg"):
+        count += len(rows)
+        chunks.append(_clause_lines(rows))
+    del circuit  # frees the normalized circuit before the join
+    chunks[0] = f"p cnf {vm.num_vars} {count}\n"
+    atomic_write(args.output, "".join(chunks))
     # the layout of json.dumps(doc, indent=2), whose `indent` would switch
     # json to its pure-Python encoder
     atomic_write(args.map or args.output + ".map",

@@ -137,7 +137,17 @@ def blocking_literal(formula, lits, exclude_id):
     rest of the formula are tautologies; None if there is none.  A literal
     whose complement never occurs qualifies vacuously."""
     wset = set(lits)
-    for lit in sorted(wset, key=lit_key):
+    return _blocking_literal(formula, wset, wset, exclude_id)
+
+
+def _blocking_literal(formula, wset, candidates, exclude_id):
+    """``blocking_literal`` of the working set ``wset``, trying only the
+    ``candidates``.  For an extension W of a clause C, C's literals are the
+    only candidates needed: the extension adds a literal l only as the
+    complement of the last open literal u of a clause D other than C with
+    D - u inside W, so the resolvent of W on l with D is W - l, which is no
+    tautology, and l never blocks."""
+    for lit in sorted(candidates, key=lit_key):
         for cid in formula.occ_ids(-lit):
             if cid == exclude_id:
                 continue
@@ -311,11 +321,12 @@ def eliminate_blocked(formula, mode=ExtensionMode.NONE, stack=None,
     stats = stats or TechniqueStats()
 
     def check(cid):
-        wset, taut, added = _extend(formula, formula.clauses[cid], cid, mode)
+        clause = formula.clauses[cid]
+        wset, taut, added = _extend(formula, clause, cid, mode)
         stats.literals_added += added
         if taut:
             return None
-        lit = blocking_literal(formula, wset, cid)
+        lit = _blocking_literal(formula, wset, clause, cid)
         if lit is None:
             return {abs(l) for l in wset}
         if stack is not None:
@@ -377,8 +388,9 @@ def find_subsumer(formula, cid, mode):
 def is_blocked(formula, cid, mode):
     """Removable by the blocked-clause rule under the given extension mode
     (tautological extension counts)."""
-    wset, taut, _ = _extend(formula, formula.clauses[cid], cid, mode)
-    return taut or blocking_literal(formula, wset, cid) is not None
+    clause = formula.clauses[cid]
+    wset, taut, _ = _extend(formula, clause, cid, mode)
+    return taut or _blocking_literal(formula, wset, clause, cid) is not None
 
 
 # --- pipeline ----------------------------------------------------------------

@@ -7,6 +7,11 @@ negative side the converse.  The full translation emits both sides for every
 gate; the polarity-restricted translation emits each side only where the
 gate's polarity requires it, which always yields a subset of the full clause
 set under the same variable map.
+
+One generator, ``_encode``, produces the clauses of both: it yields each
+encoded gate's rows as it reaches the gate, so a caller can append them to a
+formula or turn them into text gate by gate without a clause list of the
+whole formula.
 """
 
 from dataclasses import dataclass, field
@@ -98,33 +103,32 @@ def gate_clauses(circuit: Circuit, name: str, vm: VarMap, pol: int):
 def _encode(circuit, vm, restricted):
     """The one clause producer behind both encodings and `cnfkit encode`.
 
-    Returns ``(clauses, vm)``: the canonical clauses in output order (gates
-    by variable, each gate's positive rows before its negative ones, then
-    one unit per constraint) and the variable map, built by
-    ``build_varmap`` when ``vm`` is None.  Duplicates stay, as in the clause
-    multiset.  ``restricted`` emits only the rows the gate's ``polarity``
-    requires, and nothing for a gate without one; otherwise every gate gets
-    both.  Only ``build_varmap`` validates the circuit."""
-    if vm is None:
-        vm = build_varmap(circuit)
+    A generator over the circuit's encoding under ``vm`` (built by the
+    caller with ``build_varmap``), in output order: one list of canonical
+    rows per encoded gate, gates by variable and each gate's positive rows
+    before its negative ones, then one list holding a unit per constraint.
+    Duplicates stay, as in the clause multiset.  ``restricted`` yields only
+    the rows the gate's ``polarity`` requires, and nothing for a gate
+    without one; otherwise every gate gets both sides."""
     if restricted:
         pol = polarity(circuit)
     else:
         pol = dict.fromkeys(circuit.gates, BOTH)
     var = vm.gate_to_var
-    clauses = []
     for name in sorted(circuit.gates, key=var.__getitem__):
         if pol[name]:
-            clauses += gate_clauses(circuit, name, vm, pol[name])
-    for name, req in circuit.constraints:
-        clauses.append((var[name],) if req else (-var[name],))
-    return clauses, vm
+            yield gate_clauses(circuit, name, vm, pol[name])
+    yield [(var[name],) if req else (-var[name],)
+           for name, req in circuit.constraints]
 
 
-def _formula(clauses, vm):
+def _formula(circuit, vm, restricted):
+    if vm is None:
+        vm = build_varmap(circuit)
     formula = CnfFormula(num_vars=vm.num_vars)
-    for clause in clauses:
-        formula._append(clause)
+    for rows in _encode(circuit, vm, restricted):
+        for clause in rows:
+            formula._append(clause)
     return formula, vm
 
 
@@ -132,11 +136,11 @@ def tseitin(circuit: Circuit, vm: VarMap | None = None):
     """Full encoding: both sides of every gate plus one unit per constraint.
     Models restricted to input variables are exactly the circuit's satisfying
     input assignments."""
-    return _formula(*_encode(circuit, vm, restricted=False))
+    return _formula(circuit, vm, restricted=False)
 
 
 def plaisted_greenbaum(circuit: Circuit, vm: VarMap | None = None):
     """Polarity-restricted encoding: a gate's positive side is emitted only
     when the gate can matter positively, the negative side only negatively.
     Constraint units are always emitted."""
-    return _formula(*_encode(circuit, vm, restricted=True))
+    return _formula(circuit, vm, restricted=True)

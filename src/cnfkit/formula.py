@@ -475,15 +475,16 @@ def substitute_equivalent_literals(formula: CnfFormula, stack=None) -> CnfFormul
                                  tuple(sorted((var, -rep), key=lit_key))])
 
 
-def _resolvents(formula, var, pos, neg):
-    """The non-tautological resolvents on ``var``, in (pos, neg) id order."""
-    for pid in pos:
+def _resolvents(formula, var, pos_ids, neg_ids):
+    """The non-tautological resolvents on ``var``, in (pos_ids, neg_ids)
+    id order."""
+    for pid in pos_ids:
         pc = formula.clauses[pid]
-        for nid in neg:
+        for nid in neg_ids:
             merged = set(pc).union(formula.clauses[nid])
             merged.discard(var)
             merged.discard(-var)
-            if not any(-l in merged for l in merged):
+            if merged.isdisjoint(map(neg, merged)):
                 yield merged
 
 

@@ -116,15 +116,15 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfFormula:
 def write_dimacs(formula: CnfFormula) -> str:
     """Canonical text: exact counts, clauses in id order, literals in
     canonical order.  parse(write(f)) reproduces f."""
-    return _dimacs_text(formula.num_vars, formula.clauses.values())
+    return (f"p cnf {formula.num_vars} {len(formula.clauses)}\n"
+            + _clause_lines(formula.clauses.values()))
 
 
-def _dimacs_text(num_vars: int, clauses) -> str:
-    """DIMACS text of a sized collection of clauses, in its order and with
-    each clause's literals as given."""
-    lines = [f"p cnf {num_vars} {len(clauses)}"]
-    lines += [" ".join([str(l) for l in clause] + ["0"]) for clause in clauses]
-    return "\n".join(lines) + "\n"
+def _clause_lines(clauses) -> str:
+    """The DIMACS lines of some clauses, in their order and with each
+    clause's literals as given: every line ends in 0 and a newline."""
+    return "".join([" ".join([str(l) for l in clause] + ["0\n"])
+                    for clause in clauses])
 
 
 def parse_model(text: str) -> dict[int, bool]:

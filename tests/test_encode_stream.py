@@ -1,12 +1,14 @@
-"""`cnfkit encode` writes its clauses straight to DIMACS text, with no
-`CnfFormula`; `tseitin` and `plaisted_greenbaum` wrap the same clause
-producer.  These tests keep the formula-based encoder and writer as the
-reference and require byte-identical text, check the faster
-`normalize_clause` against its definition, and count the normalizations.
+"""`cnfkit encode` writes its clauses straight to DIMACS text, gate by
+gate, with no `CnfFormula`; `tseitin` and `plaisted_greenbaum` wrap the same
+clause producer.  These tests keep the formula-based encoder and writer as
+the reference and require byte-identical text, check the faster
+`normalize_clause` against its definition, count the normalizations, and
+bound the memory one `encode` takes.
 """
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -239,3 +241,28 @@ def test_parse_normalizes_each_clause_once(normalize_calls):
     del normalize_calls[:]
     parsed = parse_dimacs(text)
     assert len(normalize_calls) == len(parsed.clauses) > 0
+
+
+def traced(fn):
+    """Run fn() under tracemalloc: (result, peak bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("encoding", ["tst", "pg"])
+def test_encode_peak_memory(tmp_path, encoding):
+    """Each gate's clauses become text as they are made, so one `encode`
+    of a 2,400-gate parity circuit holds no clause list of the whole
+    formula, nor one line string per clause, and peaks below 2 MB."""
+    source, target = tmp_path / "in.bc", tmp_path / "out.cnf"
+    source.write_text(write_circuit(parity_circuit(random.Random(7), 2400)))
+    argv = ["encode", str(source), str(target), "--encoding", encoding]
+    assert main(argv) == 0  # the first call's set-up stays out of the trace
+    code, peak = traced(lambda: main(argv))
+    assert code == 0
+    assert peak < 2.0 * (1 << 20)

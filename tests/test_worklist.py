@@ -8,14 +8,17 @@ import random
 import pytest
 
 from cnfkit.circuit import normalize_circuit
-from cnfkit.elim import (ExtensionMode, TechniqueStats, _covered, _extend,
-                         blocking_literal, eliminate_blocked, eliminate_covered,
+from cnfkit.elim import (ExtensionMode, TechniqueStats, _blocking_literal,
+                         _covered, _extend, blocking_literal,
+                         eliminate_blocked, eliminate_covered,
                          eliminate_subsumed, eliminate_tautologies,
                          find_subsumer)
 from cnfkit.encode import tseitin
 from cnfkit.formula import bounded_variable_elim, pure_literal_elim
+from cnfkit.io import parse_dimacs
 from cnfkit.reconstruct import ReconstructionStack
 from conftest import parity_circuit, random_circuit, random_formula
+from test_golden import CORPUS as GOLDEN_CORPUS, LARGE_CORPUS
 
 MODES = list(ExtensionMode)
 
@@ -260,6 +263,28 @@ def test_blocked_scan_orders_match_reference(mode):
             reference_blocked(old, mode, old_stack, old_stats, scan_order=order)
             assert outcome(new, new_stack, new_stats) == \
                 outcome(old, old_stack, old_stats)
+
+
+@pytest.mark.parametrize("mode", [ExtensionMode.HIDDEN,
+                                  ExtensionMode.ASYMMETRIC],
+                         ids=lambda m: m.value)
+def test_blocking_candidates_are_the_clause_literals(mode):
+    """A literal the extension added never blocks, so trying only the
+    clause's own literals finds the literal that trying the whole extension
+    finds."""
+    golden = [parse_dimacs(text) for text in GOLDEN_CORPUS + LARGE_CORPUS]
+    extended = blocked = 0
+    for f in CORPUS + golden:
+        for cid in f.ids():
+            clause = f.clauses[cid]
+            wset, taut, added = _extend(f, clause, cid, mode)
+            if taut:
+                continue
+            lit = blocking_literal(f, wset, cid)
+            assert _blocking_literal(f, wset, clause, cid) == lit
+            extended += added > 0
+            blocked += added > 0 and lit is not None
+    assert extended > 1000 and blocked > 100
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
