@@ -11,20 +11,24 @@ from dataclasses import dataclass
 
 from .oracle import DEFAULT_BOUND, BoundExceeded
 
-TRUE = "true"
-FALSE = "false"
+TRUE = "T"
+FALSE = "F"
 INPUT = "input"
-NOT = "not"
-AND = "and"
-OR = "or"
-XOR = "xor"
-EVEN = "even"
-EQUIV = "equiv"
-IMPLY = "imply"
-ITE = "ite"
-CARD = "card"
+NOT = "NOT"
+AND = "AND"
+OR = "OR"
+XOR = "XOR"
+EVEN = "EVEN"
+EQUIV = "EQUIV"
+IMPLY = "IMPLY"
+ITE = "ITE"
+CARD = "CARD"
 
-FUNCS = (TRUE, FALSE, INPUT, NOT, AND, OR, XOR, EVEN, EQUIV, IMPLY, ITE, CARD)
+# function -> (least, most) children, most None for unbounded.  Each name is
+# its BC1.1 spelling; inputs have no BC1.1 definition.
+FUNCS = {TRUE: (0, 0), FALSE: (0, 0), INPUT: (0, 0), NOT: (1, 1),
+         AND: (1, None), OR: (1, None), XOR: (1, None), EVEN: (1, None),
+         EQUIV: (1, None), IMPLY: (2, 2), ITE: (3, 3), CARD: (1, None)}
 
 POS = 1
 NEG = 2
@@ -103,19 +107,13 @@ class Circuit:
         return f"Circuit({len(self.gates)} gates, {len(self.constraints)} constraints)"
 
 
-_MIN_ARITY = {NOT: (1, 1), IMPLY: (2, 2), ITE: (3, 3),
-              AND: (1, None), OR: (1, None), XOR: (1, None),
-              EVEN: (1, None), EQUIV: (1, None), CARD: (1, None),
-              TRUE: (0, 0), FALSE: (0, 0), INPUT: (0, 0)}
-
-
 def validate(circuit: Circuit):
     """Check arities, references, and acyclicity.  Returns a deterministic
     topological order with children before parents."""
     parents: dict[str, list] = {n: [] for n in circuit.gates}
     pending = {}
     for name, gate in circuit.gates.items():
-        lo_a, hi_a = _MIN_ARITY[gate.func]
+        lo_a, hi_a = FUNCS[gate.func]
         n = len(gate.children)
         if n < lo_a or (hi_a is not None and n > hi_a):
             raise ArityError(f"gate {name!r}: {gate.func} with {n} children")
@@ -435,17 +433,17 @@ def simplify_fixpoint(circuit: Circuit, passes=("coi", "nsi", "mir")):
     """Cycle COI, NSI, and MIR until the circuit stops changing.
 
     Returns (circuit, fixed_inputs): inputs MIR fixed are folded away from the
-    circuit and reported in the sidecar map.  An unknown pass name is a
-    ValueError.
+    circuit and reported in the sidecar map.  Every pass returns a new
+    circuit and leaves its input alone; with no passes the input comes back
+    as is.  An unknown pass name is a ValueError.
     """
     for name in passes:
         if name not in ("coi", "nsi", "mir"):
             raise ValueError(f"unknown simplification pass {name!r}")
-    current = circuit.copy()
+    current = circuit
     fixed: dict[str, bool] = {}
     while True:
-        before_gates = dict(current.gates)
-        before_constraints = list(current.constraints)
+        before = current
         if "coi" in passes:
             current = coi_reduce(current)
         if "nsi" in passes:
@@ -453,8 +451,7 @@ def simplify_fixpoint(circuit: Circuit, passes=("coi", "nsi", "mir")):
         if "mir" in passes:
             current, newly = mir_reduce(current)
             fixed.update(newly)
-        if current.gates == before_gates and \
-                current.constraints == before_constraints:
+        if current == before:
             return current, fixed
 
 
@@ -528,49 +525,46 @@ def _xor_tree(kids, emit, fresh, top_name=None):
     return emit(top_name or fresh("xor"), XOR, (left, right))
 
 
+def _card_node(kids, lo, hi, i, memo, emit, fresh):
+    """The node saying that between ``lo`` and ``hi`` of ``kids[i:]`` hold:
+    True, False, an existing node, or a new gate.  Shared subproblems come
+    from ``memo``, keyed by the bounds clamped to ``[0, len(kids) - i]``.  Module level, like
+    ``_xor_tree``, so no closure holds the normalized circuit in a cycle."""
+    rem = len(kids) - i
+    if hi < 0 or lo > rem:
+        return False
+    if lo <= 0 and hi >= rem:
+        return True
+    key = (max(lo, 0), min(hi, rem), i)
+    if key in memo:
+        return memo[key]
+    cond = kids[i]
+    then = _card_node(kids, lo - 1, hi - 1, i + 1, memo, emit, fresh)
+    other = _card_node(kids, lo, hi, i + 1, memo, emit, fresh)
+    if then is True and other is True:
+        node = True
+    elif then is False and other is False:
+        node = False
+    elif then is True and other is False:
+        node = cond
+    elif then is False and other is True:
+        node = emit(fresh("n"), NOT, (cond,))
+    elif then is True:
+        node = emit(fresh("o"), OR, (cond, other))
+    elif other is True:
+        node = emit(fresh("i"), IMPLY, (cond, then))
+    elif then is False:
+        node = emit(fresh("a"), AND, (emit(fresh("n"), NOT, (cond,)), other))
+    elif other is False:
+        node = emit(fresh("a"), AND, (cond, then))
+    else:
+        node = emit(fresh("t"), ITE, (cond, then, other))
+    memo[key] = node
+    return node
+
+
 def _expand_card(name, kids, lo, hi, emit, fresh):
-    memo: dict = {}
-
-    def build(lo, hi, i):
-        rem = len(kids) - i
-        if hi < 0 or lo > rem:
-            return False
-        if lo <= 0 and hi >= rem:
-            return True
-        key = (max(lo, 0), min(hi, rem), i)
-        if key in memo:
-            return memo[key]
-        cond = kids[i]
-        then = build(lo - 1, hi - 1, i + 1)
-        other = build(lo, hi, i + 1)
-        if then is True and other is True:
-            node = True
-        elif then is False and other is False:
-            node = False
-        elif then is True and other is False:
-            node = cond
-        elif then is False and other is True:
-            node = emit(fresh("n"), NOT, (cond,))
-        elif then is True:
-            node = emit(fresh("o"), OR, (cond, other))
-        elif other is True:
-            node = emit(fresh("i"), IMPLY, (cond, then))
-        elif then is False:
-            node = emit(fresh("a"), AND, (emit(fresh("n"), NOT, (cond,)), other))
-        elif other is False:
-            node = emit(fresh("a"), AND, (cond, then))
-        else:
-            node = emit(fresh("t"), ITE, (cond, then, other))
-        memo[key] = node
-        return node
-
-    try:
-        result = build(lo, hi, 0)
-    finally:
-        # ``build`` refers to itself and, through the bound method ``emit``,
-        # to the normalized circuit: drop it on every exit (RecursionError
-        # included), so the circuit does not wait for the cyclic collector
-        build = None
+    result = _card_node(kids, lo, hi, 0, {}, emit, fresh)
     if result is True or result is False:
         return emit(name, TRUE if result else FALSE)
     # the top of the expansion is an existing node: alias the card gate to it

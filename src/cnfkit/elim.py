@@ -38,25 +38,6 @@ class ExtensionMode(Enum):
     ASYMMETRIC = "asymmetric"
 
 
-class TechniqueId(str, Enum):
-    TE = "te"
-    HTE = "hte"
-    ATE = "ate"
-    SE = "se"
-    HSE = "hse"
-    ASE = "ase"
-    BCE = "bce"
-    HBCE = "hbce"
-    ABCE = "abce"
-    CCE = "cce"
-    HCCE = "hcce"
-    ACCE = "acce"
-    PL = "pl"
-    FLE = "fle"
-    ELS = "els"
-    VE = "ve"
-
-
 @dataclass
 class TechniqueStats:
     clauses_removed: int = 0
@@ -401,33 +382,35 @@ class PipelineConfig:
     ve_growth_bound: int = 0
 
 
-_NONE, _HIDDEN, _ASYM = (ExtensionMode.NONE, ExtensionMode.HIDDEN,
-                         ExtensionMode.ASYMMETRIC)
-
-# TechniqueId -> (procedure, extension mode).  An elimination procedure is
+# technique name -> (procedure, extension mode).  An elimination procedure is
 # called as procedure(formula, mode, stack, stats) and keeps its own counters.
 # A formula-level one (mode None) is called as procedure(formula, stack,
 # config) and counts as one round, its net change in size as removed or added.
 _TECHNIQUES = {
-    TechniqueId.TE: (eliminate_tautologies, _NONE),
-    TechniqueId.HTE: (eliminate_tautologies, _HIDDEN),
-    TechniqueId.ATE: (eliminate_tautologies, _ASYM),
-    TechniqueId.SE: (eliminate_subsumed, _NONE),
-    TechniqueId.HSE: (eliminate_subsumed, _HIDDEN),
-    TechniqueId.ASE: (eliminate_subsumed, _ASYM),
-    TechniqueId.BCE: (eliminate_blocked, _NONE),
-    TechniqueId.HBCE: (eliminate_blocked, _HIDDEN),
-    TechniqueId.ABCE: (eliminate_blocked, _ASYM),
-    TechniqueId.CCE: (eliminate_covered, _NONE),
-    TechniqueId.HCCE: (eliminate_covered, _HIDDEN),
-    TechniqueId.ACCE: (eliminate_covered, _ASYM),
-    TechniqueId.PL: (lambda f, stack, config: pure_literal_elim(f, stack), None),
-    TechniqueId.FLE: (lambda f, stack, config: failed_literal_probe(f), None),
-    TechniqueId.ELS: (lambda f, stack, config:
-                      substitute_equivalent_literals(f, stack), None),
-    TechniqueId.VE: (lambda f, stack, config: bounded_variable_elim(
+    "te": (eliminate_tautologies, ExtensionMode.NONE),
+    "hte": (eliminate_tautologies, ExtensionMode.HIDDEN),
+    "ate": (eliminate_tautologies, ExtensionMode.ASYMMETRIC),
+    "se": (eliminate_subsumed, ExtensionMode.NONE),
+    "hse": (eliminate_subsumed, ExtensionMode.HIDDEN),
+    "ase": (eliminate_subsumed, ExtensionMode.ASYMMETRIC),
+    "bce": (eliminate_blocked, ExtensionMode.NONE),
+    "hbce": (eliminate_blocked, ExtensionMode.HIDDEN),
+    "abce": (eliminate_blocked, ExtensionMode.ASYMMETRIC),
+    "cce": (eliminate_covered, ExtensionMode.NONE),
+    "hcce": (eliminate_covered, ExtensionMode.HIDDEN),
+    "acce": (eliminate_covered, ExtensionMode.ASYMMETRIC),
+    "pl": (lambda f, stack, config: pure_literal_elim(f, stack), None),
+    "fle": (lambda f, stack, config: failed_literal_probe(f), None),
+    "els": (lambda f, stack, config: substitute_equivalent_literals(f, stack),
+            None),
+    "ve": (lambda f, stack, config: bounded_variable_elim(
         f, config.ve_growth_bound, stack), None),
 }
+
+# one member per row of ``_TECHNIQUES``, in its order: ``TechniqueId.HBCE``
+# is ``"hbce"``
+TechniqueId = Enum("TechniqueId", {n.upper(): n for n in _TECHNIQUES},
+                   type=str, module=__name__)
 
 
 def run_pipeline(formula: CnfFormula, order, config=None):

@@ -18,19 +18,12 @@ or constraint mentions has no representation and is dropped on a round trip.
 
 import re
 
-from ..circuit import (AND, CARD, EQUIV, EVEN, FALSE, IMPLY, INPUT, ITE, NOT,
-                       OR, TRUE, XOR, Circuit, validate)
+from ..circuit import CARD, FUNCS, INPUT, Circuit, validate
 
 __all__ = ["CIRCUIT_HEADER", "CircuitFormatError", "UnknownFunction",
            "parse_circuit", "write_circuit"]
 
 CIRCUIT_HEADER = "BC1.1"
-
-_FUNC_NAMES = {
-    "T": TRUE, "F": FALSE, "NOT": NOT, "AND": AND, "OR": OR, "XOR": XOR,
-    "EVEN": EVEN, "EQUIV": EQUIV, "IMPLY": IMPLY, "ITE": ITE, "CARD": CARD,
-}
-_NAME_OF_FUNC = {v: k for k, v in _FUNC_NAMES.items()}
 
 _DEF_RE = re.compile(
     r"^(?P<name>\w+)\s*:=\s*(?P<func>[A-Z]+)"
@@ -61,10 +54,11 @@ def parse_circuit(text: str) -> Circuit:
             continue
         m = _DEF_RE.match(stripped)
         if m:
-            func_name = m.group("func")
-            if func_name not in _FUNC_NAMES:
-                raise UnknownFunction(f"line {lineno}: {func_name!r}")
-            func = _FUNC_NAMES[func_name]
+            # a function's name is its BC1.1 spelling; [A-Z]+ never
+            # matches INPUT's
+            func = m.group("func")
+            if func not in FUNCS:
+                raise UnknownFunction(f"line {lineno}: {func!r}")
             # blank argument text is an empty list; otherwise every
             # comma-separated part must be a name, so ``AND(x,,y)`` fails
             arg_text = m.group("args")
@@ -110,10 +104,9 @@ def write_circuit(circuit: Circuit) -> str:
         gate = circuit.gates[name]
         if gate.func == INPUT:
             continue
-        func_name = _NAME_OF_FUNC[gate.func]
-        if gate.func == CARD:
-            func_name += f"{{{gate.lo},{gate.hi}}}"
-        lines.append(f"{name} := {func_name}({', '.join(gate.children)});")
+        bounds = f"{{{gate.lo},{gate.hi}}}" if gate.func == CARD else ""
+        lines.append(f"{name} := {gate.func}{bounds}"
+                     f"({', '.join(gate.children)});")
     for name, req in circuit.constraints:
         lines.append(f"ASSIGN {'' if req else '~'}{name};")
     return "\n".join(lines) + "\n"

@@ -44,9 +44,12 @@ class ParseReport:
 
 
 def parse_dimacs_with_report(text: str, strict: bool = False):
+    """Parse DIMACS text in one pass, each clause line as it comes.  With
+    several errors in the input, the first one met is raised."""
     report = ParseReport()
-    tokens: list[str] = []
-    header = None
+    formula = None
+    current: list[int] = []
+    count = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped == "%":
@@ -54,51 +57,47 @@ def parse_dimacs_with_report(text: str, strict: bool = False):
         if not stripped or stripped.startswith("c"):
             continue
         if stripped.startswith("p"):
-            if header is not None:
+            if formula is not None:
                 raise MalformedHeader(f"line {lineno}: second header")
             parts = stripped.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise MalformedHeader(f"line {lineno}: {stripped!r}")
             try:
-                header = (int(parts[2]), int(parts[3]))
+                num_vars, declared = int(parts[2]), int(parts[3])
             except ValueError:
                 raise MalformedHeader(f"line {lineno}: {stripped!r}") from None
-            if header[0] < 0 or header[1] < 0:
+            if num_vars < 0 or declared < 0:
                 raise MalformedHeader(f"line {lineno}: negative counts")
+            formula = CnfFormula(num_vars=num_vars)
             continue
-        if header is None:
+        if formula is None:
             raise MalformedHeader(f"line {lineno}: clause before header")
-        tokens.extend(stripped.split())
-
-    if header is None:
-        raise MalformedHeader("missing `p cnf` header")
-
-    formula = CnfFormula(num_vars=header[0])
-    current: list[int] = []
-    count = 0
-    for tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError:
-            raise UnterminatedClause(f"non-integer token {tok!r}") from None
-        if lit == 0:
-            clause, taut = normalize_clause(current)
-            if taut:
-                report.tautologies_dropped += 1
+        for tok in stripped.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise UnterminatedClause(f"non-integer token {tok!r}") from None
+            if lit == 0:
+                clause, taut = normalize_clause(current)
+                if taut:
+                    report.tautologies_dropped += 1
+                else:
+                    formula._append(clause)
+                current = []
+                count += 1
+            elif abs(lit) > num_vars:
+                raise LiteralOutOfRange(
+                    f"literal {lit} exceeds declared {num_vars} variables")
             else:
-                formula._append(clause)
-            current = []
-            count += 1
-            continue
-        if abs(lit) > header[0]:
-            raise LiteralOutOfRange(
-                f"literal {lit} exceeds declared {header[0]} variables")
-        current.append(lit)
+                current.append(lit)
+
+    if formula is None:
+        raise MalformedHeader("missing `p cnf` header")
     if current:
         raise UnterminatedClause("clause not terminated by 0 at end of input")
 
-    if count != header[1]:
-        message = f"header declares {header[1]} clauses, found {count}"
+    if count != declared:
+        message = f"header declares {declared} clauses, found {count}"
         if strict:
             raise MalformedHeader(message)
         report.warnings.append(message)

@@ -14,11 +14,13 @@ The stats document is a single self-describing JSON object:
 
 Counters always satisfy: total removed - total added = before - after.
 ``literals_added`` counts the literals that extension and covered literal
-addition added to working clauses; an extension that reaches a conflict
-stops there, so only the literals added up to the first conflict count.  It
-counts only the checks actually run: a clause is checked again only after a
-clause its last check read was removed, so a round does not count again the
-literals of a clause whose check could not have changed.
+addition added to working clauses.  The tautology, blocked and covered
+families stop an extension at its first conflict and count the literals
+added up to it; hse and ase run it to the full fixpoint, past any conflict,
+and count every literal it adds.  It counts only the checks actually run: a
+clause is checked again only after a clause its last check read was
+removed, so a round does not count again the literals of a clause whose
+check could not have changed.
 """
 
 import json
