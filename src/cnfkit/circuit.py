@@ -113,6 +113,8 @@ def validate(circuit: Circuit):
     parents: dict[str, list] = {n: [] for n in circuit.gates}
     pending = {}
     for name, gate in circuit.gates.items():
+        if gate.func not in FUNCS:
+            raise CircuitError(f"unknown gate function {gate.func!r}")
         lo_a, hi_a = FUNCS[gate.func]
         n = len(gate.children)
         if n < lo_a or (hi_a is not None and n > hi_a):
@@ -176,9 +178,8 @@ def _gate_value(gate: Gate, vals):
         return (not vals[0]) or vals[1]
     if gate.func == ITE:
         return vals[1] if vals[0] else vals[2]
-    if gate.func == CARD:
-        return gate.lo <= sum(vals) <= gate.hi
-    raise CircuitError(f"cannot evaluate {gate.func}")
+    # CARD: the one function left, since ``validate`` rejects unknown ones
+    return gate.lo <= sum(vals) <= gate.hi
 
 
 def eval_circuit(circuit: Circuit, input_assign: dict) -> dict:
@@ -479,34 +480,25 @@ def normalize_circuit(circuit: Circuit) -> Circuit:
         gate = circuit.gates[name]
         kids = [mapping[c] for c in gate.children]
         func = gate.func
-        if func in (INPUT, TRUE, FALSE):
-            mapping[name] = emit(name, func)
-        elif func in (NOT, AND, OR, IMPLY, ITE):
-            mapping[name] = emit(name, func, kids)
-        elif func == XOR:
-            if len(kids) == 1:
-                mapping[name] = kids[0]
-            else:
-                mapping[name] = _xor_tree(kids, emit, fresh, name)
+        if func == XOR:
+            # over one input the tree is that input: the gate aliases it
+            mapping[name] = _xor_tree(kids, emit, fresh, name)
         elif func == EVEN:
-            if len(kids) == 1:
-                mapping[name] = emit(name, NOT, (kids[0],))
-            else:
-                mapping[name] = emit(name, NOT, (_xor_tree(kids, emit, fresh),))
-        elif func == EQUIV:
-            if len(kids) == 1:
-                mapping[name] = emit(name, TRUE)
-            elif len(kids) == 2:
-                mapping[name] = emit(name, EQUIV, kids)
-            else:
-                pairs = [emit(fresh("eq"), EQUIV, (kids[0], other))
-                         for other in kids[1:]]
-                mapping[name] = emit(name, AND, pairs)
+            mapping[name] = emit(name, NOT, (_xor_tree(kids, emit, fresh),))
+        elif func == EQUIV and len(kids) == 1:
+            mapping[name] = emit(name, TRUE)
+        elif func == EQUIV and len(kids) > 2:
+            pairs = [emit(fresh("eq"), EQUIV, (kids[0], other))
+                     for other in kids[1:]]
+            mapping[name] = emit(name, AND, pairs)
         elif func == CARD:
-            mapping[name] = _expand_card(name, kids, gate.lo, gate.hi,
-                                         emit, fresh)
+            node = _card_node(kids, gate.lo, gate.hi, 0, {}, emit, fresh)
+            if node is True or node is False:
+                node = emit(name, TRUE if node else FALSE)
+            # otherwise the top is an existing node: alias the card gate to it
+            mapping[name] = node
         else:
-            raise CircuitError(f"unexpected function {func}")
+            mapping[name] = emit(name, func, kids)
 
     for cname, req in circuit.constraints:
         out.add_constraint(mapping[cname], req)
@@ -541,11 +533,8 @@ def _card_node(kids, lo, hi, i, memo, emit, fresh):
     cond = kids[i]
     then = _card_node(kids, lo - 1, hi - 1, i + 1, memo, emit, fresh)
     other = _card_node(kids, lo, hi, i + 1, memo, emit, fresh)
-    if then is True and other is True:
-        node = True
-    elif then is False and other is False:
-        node = False
-    elif then is True and other is False:
+    # never both True or both False: as lo <= hi, such a node returned above
+    if then is True and other is False:
         node = cond
     elif then is False and other is True:
         node = emit(fresh("n"), NOT, (cond,))
@@ -561,11 +550,3 @@ def _card_node(kids, lo, hi, i, memo, emit, fresh):
         node = emit(fresh("t"), ITE, (cond, then, other))
     memo[key] = node
     return node
-
-
-def _expand_card(name, kids, lo, hi, emit, fresh):
-    result = _card_node(kids, lo, hi, 0, {}, emit, fresh)
-    if result is True or result is False:
-        return emit(name, TRUE if result else FALSE)
-    # the top of the expansion is an existing node: alias the card gate to it
-    return result

@@ -7,14 +7,13 @@ or external solver).
 Exit codes: 0 success / agreement, 1 usage error or any failure (reported as
 one `error:` line, never a traceback), 2 verification disagreement, 10
 satisfiable, 20 unsatisfiable (or empty clause derived by prep).  All file
-outputs are written atomically.  The environment variable
-CNFKIT_ORACLE_BOUND overrides the default oracle variable bound.
+outputs are written atomically.  `--bound` on verify and solve sets the
+oracle variable bound.
 """
 
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import bench, oracle
@@ -36,13 +35,6 @@ EXIT_UNSAT = 20
 
 GENERATORS = {"php": bench.gen_php, "ephp": bench.gen_ephp,
               "xorring": bench.gen_xor_unsat}
-
-
-def _oracle_bound(args):
-    if args.bound is not None:
-        return args.bound
-    env = os.environ.get("CNFKIT_ORACLE_BOUND")
-    return int(env) if env else oracle.DEFAULT_BOUND
 
 
 def _read(path):
@@ -132,10 +124,9 @@ def cmd_verify(args):
         return EXIT_DISAGREE
     if len(args.formulas) != 2:
         raise ValueError("verify needs two CNF files or --reconstruct")
-    bound = _oracle_bound(args)
     fa = _load_cnf(args.formulas[0])
     fb = _load_cnf(args.formulas[1])
-    if oracle.equisat(fa, fb, bound):
+    if oracle.equisat(fa, fb, args.bound):
         print("c equisatisfiable")
         return EXIT_OK
     print("c satisfiability differs")
@@ -145,7 +136,7 @@ def cmd_verify(args):
 def cmd_solve(args):
     formula = _load_cnf(args.input)
     if args.oracle:
-        model = oracle.brute_force_sat(formula, _oracle_bound(args))
+        model = oracle.brute_force_sat(formula, args.bound)
         result = SolverResult("unsat" if model is None else "sat", model)
     else:
         result = run_external_solver(args.solver, formula,
@@ -205,7 +196,7 @@ def build_parser():
     p.add_argument("formulas", nargs="*", metavar="CNF")
     p.add_argument("--reconstruct", nargs=3,
                    metavar=("STACK", "MODEL", "ORIGINAL"))
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=int, default=oracle.DEFAULT_BOUND)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="decide satisfiability")
@@ -214,7 +205,7 @@ def build_parser():
     group.add_argument("--oracle", action="store_true")
     group.add_argument("--solver", help="path to an external solver")
     p.add_argument("--timeout", type=float)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=int, default=oracle.DEFAULT_BOUND)
     p.set_defaults(func=cmd_solve)
     return parser
 

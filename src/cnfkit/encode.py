@@ -16,9 +16,8 @@ whole formula.
 
 from dataclasses import dataclass, field
 
-from .circuit import (AND, BOTH, CARD, EQUIV, EVEN, FALSE, IMPLY, INPUT, ITE,
-                      NEG, NOT, OR, POS, TRUE, XOR, Circuit, polarity,
-                      validate)
+from .circuit import (AND, BOTH, EQUIV, FALSE, IMPLY, INPUT, ITE, NEG, NOT,
+                      OR, POS, TRUE, XOR, Circuit, polarity, validate)
 from .formula import CnfFormula, normalize_clause
 
 __all__ = ["VarMap", "UnnormalizedGate", "build_varmap", "gate_clauses",
@@ -26,8 +25,8 @@ __all__ = ["VarMap", "UnnormalizedGate", "build_varmap", "gate_clauses",
 
 
 class UnnormalizedGate(Exception):
-    """Raised for gates outside the encodable subset (CARD, EVEN, or
-    non-binary parity/equivalence)."""
+    """Raised for a gate outside the encodable subset: CARD, EVEN, XOR or
+    EQUIV with other than two children, or an unknown function."""
 
 
 @dataclass
@@ -58,9 +57,6 @@ def gate_clauses(circuit: Circuit, name: str, vm: VarMap, pol: int):
     (possible with repeated children) are dropped."""
     gate = circuit.gates[name]
     func = gate.func
-    if func in (CARD, EVEN) or (func in (XOR, EQUIV) and len(gate.children) != 2):
-        raise UnnormalizedGate(f"gate {name!r} ({func}/{len(gate.children)}) "
-                               "requires normalize_circuit first")
     var = vm.gate_to_var
     g = var[name]
     kids = [var[c] for c in gate.children]
@@ -80,17 +76,18 @@ def gate_clauses(circuit: Circuit, name: str, vm: VarMap, pol: int):
     elif func == IMPLY:
         a, b = kids
         pos, neg = [[-g, -a, b]], [[g, a], [g, -b]]
-    elif func == XOR:
+    elif func == XOR and len(kids) == 2:
         a, b = kids
         pos, neg = [[-g, a, b], [-g, -a, -b]], [[g, -a, b], [g, a, -b]]
-    elif func == EQUIV:
+    elif func == EQUIV and len(kids) == 2:
         a, b = kids
         pos, neg = [[-g, -a, b], [-g, a, -b]], [[g, a, b], [g, -a, -b]]
     elif func == ITE:
         c, t, e = kids
         pos, neg = [[-g, -c, t], [-g, c, e]], [[g, -c, -t], [g, c, -e]]
     else:
-        raise UnnormalizedGate(f"gate {name!r} has unencodable function {func}")
+        raise UnnormalizedGate(f"gate {name!r} ({func}/{len(kids)}) "
+                               "requires normalize_circuit first")
 
     clauses = []
     for row in (pos if pol & POS else []) + (neg if pol & NEG else []):

@@ -6,10 +6,10 @@ import pytest
 
 from cnfkit.circuit import (AND, BOTH, CARD, EQUIV, EVEN, FALSE, IMPLY, INPUT,
                             ITE, NEG, NOT, OR, POS, TRUE, XOR, ArityError,
-                            Circuit, CycleError, circuit_sat, coi_reduce,
-                            eval_circuit, mir_reduce, normalize_circuit,
-                            nsi_reduce, polarity, polarity_is_closed,
-                            simplify_fixpoint, validate)
+                            Circuit, CircuitError, CycleError, Gate,
+                            circuit_sat, coi_reduce, eval_circuit, mir_reduce,
+                            normalize_circuit, nsi_reduce, polarity,
+                            polarity_is_closed, simplify_fixpoint, validate)
 from cnfkit.oracle import BoundExceeded
 from conftest import random_circuit
 
@@ -63,6 +63,14 @@ class TestValidate:
         c.add_input("x")
         c.add_gate("g", CARD, ("x",), 2, 1)
         with pytest.raises(ArityError):
+            validate(c)
+
+    def test_unknown_function(self):
+        c = Circuit()
+        c.add_input("x")
+        c.gates["g"] = Gate("FOO", ("x",))
+        with pytest.raises(CircuitError,
+                           match="^unknown gate function 'FOO'$"):
             validate(c)
 
 
@@ -289,6 +297,22 @@ class TestNormalize:
         out = normalize_circuit(c)
         assert out.constraints == [("a", True)]
         assert set(out.gates) == {"a"}
+
+    def test_card_expansion_exhaustively(self):
+        """Every CARD{lo,hi} over 1-6 inputs with 0 <= lo <= hi <= n + 2
+        normalizes to a circuit whose constraint holds exactly when
+        lo <= (number of true inputs) <= hi."""
+        for n in range(1, 7):
+            names = [f"x{i}" for i in range(n)]
+            bounds = itertools.combinations_with_replacement(range(n + 3), 2)
+            for lo, hi in bounds:
+                c = circuit_of([(x, INPUT) for x in names]
+                               + [("k", CARD, names, lo, hi)], ["k"])
+                out = normalize_circuit(c)
+                for bits in itertools.product((False, True), repeat=n):
+                    vals = eval_circuit(out, dict(zip(names, bits)))
+                    holds = all(vals[g] == req for g, req in out.constraints)
+                    assert holds == (lo <= sum(bits) <= hi), (n, lo, hi, bits)
 
     def test_eval_preserved_exhaustively(self, rng):
         for _ in range(200):

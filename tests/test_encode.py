@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from cnfkit.circuit import (AND, FALSE, INPUT, ITE, NEG, NOT, OR, POS, TRUE,
-                            XOR, Circuit, circuit_sat, normalize_circuit,
+from cnfkit.circuit import (AND, CARD, EQUIV, EVEN, FALSE, IMPLY, INPUT, ITE,
+                            NEG, NOT, OR, POS, TRUE, XOR, Circuit,
+                            _child_marks, circuit_sat, normalize_circuit,
                             simplify_fixpoint)
 from cnfkit.elim import ExtensionMode, eliminate_blocked
 from cnfkit.encode import (UnnormalizedGate, build_varmap, gate_clauses,
@@ -59,12 +60,36 @@ class TestGateClauses:
             cv, tv, ev, gv = bits
             assert holds == (gv == (tv if cv else ev))
 
-    def test_unnormalized_rejected(self, rng):
+    @pytest.mark.parametrize("func, n", [(XOR, 3), (CARD, 3), (EVEN, 2),
+                                         (XOR, 1), (EQUIV, 1), (EQUIV, 3)])
+    def test_unnormalized_rejected(self, rng, func, n):
+        bounds = (1, 2) if func == CARD else ()
         c = circuit_of([("a", INPUT), ("b", INPUT), ("c2", INPUT),
-                        ("g", XOR, ("a", "b", "c2"))])
+                        ("g", func, ("a", "b", "c2")[:n], *bounds)])
         vm = build_varmap(c)
-        with pytest.raises(UnnormalizedGate):
+        text = rf"\({func}/{n}\) requires normalize_circuit first"
+        with pytest.raises(UnnormalizedGate, match=text):
             gate_clauses(c, "g", vm, POS)
+
+    @pytest.mark.parametrize("pol", [POS, NEG], ids=["POS", "NEG"])
+    @pytest.mark.parametrize("func, n", [(NOT, 1), (AND, 1), (AND, 2),
+                                         (AND, 3), (OR, 1), (OR, 2), (OR, 3),
+                                         (IMPLY, 2), (XOR, 2), (EQUIV, 2),
+                                         (ITE, 3)])
+    def test_child_signs_match_polarity_marks(self, func, n, pol):
+        """A child occurs in a gate's ``pol`` rows with exactly the signs
+        that ``_child_marks`` passes it, which is what makes PG sound."""
+        kids = ("a", "b", "c")[:n]
+        c = circuit_of([("a", INPUT), ("b", INPUT), ("c", INPUT),
+                        ("g", func, kids)])
+        vm = build_varmap(c)
+        kid_of = {vm.var(name): name for name in kids}
+        signs = dict.fromkeys(kids, 0)
+        for row in gate_clauses(c, "g", vm, pol):
+            for lit in row:
+                if abs(lit) in kid_of:
+                    signs[kid_of[abs(lit)]] |= POS if lit > 0 else NEG
+        assert signs == dict(_child_marks(c.gates["g"], pol))
 
 
 class TestTseitin:
