@@ -384,9 +384,14 @@ def mir_reduce(circuit: Circuit):
 
     Returns (circuit, fixed_inputs).
     """
-    # the upward walk in ``_safe_const`` needs an acyclic circuit, and folds
-    # keep it valid, so one check on entry covers every round
     validate(circuit)
+    return _mir(circuit)
+
+
+def _mir(circuit):
+    """``mir_reduce`` on a circuit already known to be valid: the upward walk
+    in ``_safe_const`` needs an acyclic circuit, and folds keep it valid, so
+    one check before the first round covers every later one."""
     out = circuit.copy()
     fixed: dict[str, bool] = {}
     # folds only drop children, so an entry here may be stale, never missing
@@ -437,7 +442,16 @@ def simplify_fixpoint(circuit: Circuit, passes=("coi", "nsi", "mir")):
     circuit and reported in the sidecar map.  Every pass returns a new
     circuit and leaves its input alone; with no passes the input comes back
     as is.  An unknown pass name is a ValueError.
+
+    The input is validated once, on entry: no pass can make a valid circuit
+    invalid, so the MIR rounds do not check it again.
     """
+    validate(circuit)
+    return _simplify(circuit, passes)
+
+
+def _simplify(circuit, passes):
+    """``simplify_fixpoint`` on a circuit already known to be valid."""
     for name in passes:
         if name not in ("coi", "nsi", "mir"):
             raise ValueError(f"unknown simplification pass {name!r}")
@@ -450,7 +464,7 @@ def simplify_fixpoint(circuit: Circuit, passes=("coi", "nsi", "mir")):
         if "nsi" in passes:
             current = nsi_reduce(current)
         if "mir" in passes:
-            current, newly = mir_reduce(current)
+            current, newly = _mir(current)
             fixed.update(newly)
         if current == before:
             return current, fixed
@@ -462,6 +476,12 @@ def normalize_circuit(circuit: Circuit) -> Circuit:
     comparisons against the first child, and CARD expands through the usual
     if-then-else recursion with memoized subproblems.  Gate values are
     preserved on every input assignment; surviving gates keep their ids."""
+    return _normalize(circuit, validate(circuit))
+
+
+def _normalize(circuit, order):
+    """``normalize_circuit`` along ``order``, the order ``validate`` returns
+    for ``circuit``: that walk fixes the fresh names, and so the output."""
     out = Circuit()
     mapping: dict[str, str] = {}
     taken = set(circuit.gates)
@@ -476,7 +496,7 @@ def normalize_circuit(circuit: Circuit) -> Circuit:
 
     emit = out.add_gate
 
-    for name in validate(circuit):
+    for name in order:
         gate = circuit.gates[name]
         kids = [mapping[c] for c in gate.children]
         func = gate.func

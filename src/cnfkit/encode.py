@@ -53,8 +53,13 @@ def build_varmap(circuit: Circuit) -> VarMap:
 
 def gate_clauses(circuit: Circuit, name: str, vm: VarMap, pol: int):
     """Clause table for one gate: the positive rows when ``pol`` has
-    ``POS``, then the negative rows when it has ``NEG``.  Tautological rows
-    (possible with repeated children) are dropped."""
+    ``POS``, then the negative rows when it has ``NEG``, each in canonical
+    order (as ``normalize_clause`` returns it).  When the gate's variable
+    and its children's are all distinct, no row can repeat a variable, so
+    sorting a row by variable makes it canonical; only a gate that shares a
+    variable between them (a repeated child) goes through
+    ``normalize_clause``, which merges duplicate literals and drops the
+    tautological rows."""
     gate = circuit.gates[name]
     func = gate.func
     var = vm.gate_to_var
@@ -89,8 +94,11 @@ def gate_clauses(circuit: Circuit, name: str, vm: VarMap, pol: int):
         raise UnnormalizedGate(f"gate {name!r} ({func}/{len(kids)}) "
                                "requires normalize_circuit first")
 
+    rows = (pos if pol & POS else []) + (neg if pol & NEG else [])
+    if len(set(kids)) == len(kids) and g not in kids:
+        return [tuple(sorted(row, key=abs)) for row in rows]
     clauses = []
-    for row in (pos if pol & POS else []) + (neg if pol & NEG else []):
+    for row in rows:
         clause, taut = normalize_clause(row)
         if not taut:
             clauses.append(clause)

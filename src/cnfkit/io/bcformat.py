@@ -41,6 +41,11 @@ class UnknownFunction(CircuitFormatError):
 
 
 def parse_circuit(text: str) -> Circuit:
+    return _parse_circuit(text)[0]
+
+
+def _parse_circuit(text):
+    """The parsed circuit and the order ``validate`` returned for it."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != CIRCUIT_HEADER:
         raise CircuitFormatError(f"missing {CIRCUIT_HEADER} header line")
@@ -92,8 +97,7 @@ def parse_circuit(text: str) -> Circuit:
             circuit.add_input(name)
     for name, req in constraints:
         circuit.add_constraint(name, req)
-    validate(circuit)
-    return circuit
+    return circuit, validate(circuit)
 
 
 def write_circuit(circuit: Circuit) -> str:

@@ -119,11 +119,22 @@ def write_dimacs(formula: CnfFormula) -> str:
             + _clause_lines(formula.clauses.values()))
 
 
+# clause length -> the format of one DIMACS line of that length
+_LINE_FORMATS: dict[int, str] = {}
+
+
 def _clause_lines(clauses) -> str:
-    """The DIMACS lines of some clauses, in their order and with each
-    clause's literals as given: every line ends in 0 and a newline."""
-    return "".join([" ".join([str(l) for l in clause] + ["0\n"])
-                    for clause in clauses])
+    """The DIMACS lines of some clauses (tuples of ints), in their order and
+    with each clause's literals as given: every line ends in 0 and a
+    newline.  Each line is one ``%`` format, made once per clause length."""
+    formats = _LINE_FORMATS
+    lines = []
+    for clause in clauses:
+        fmt = formats.get(len(clause))
+        if fmt is None:
+            fmt = formats[len(clause)] = "%d " * len(clause) + "0\n"
+        lines.append(fmt % clause)
+    return "".join(lines)
 
 
 def parse_model(text: str) -> dict[int, bool]:

@@ -6,6 +6,7 @@ the reference and require byte-identical text, check the faster
 bound the memory one `encode` takes.
 """
 
+import itertools
 import json
 import random
 import tracemalloc
@@ -15,12 +16,13 @@ import pytest
 import cnfkit.encode
 import cnfkit.formula
 import cnfkit.io.dimacs
-from cnfkit.circuit import (AND, CARD, EQUIV, EVEN, FALSE, IMPLY, ITE, NEG,
-                            NOT, OR, POS, TRUE, XOR, normalize_circuit,
-                            polarity, simplify_fixpoint)
+from cnfkit.circuit import (AND, BOTH, CARD, EQUIV, EVEN, FALSE, FUNCS,
+                            IMPLY, INPUT, ITE, NEG, NOT, OR, POS, TRUE, XOR,
+                            Circuit, normalize_circuit, polarity,
+                            simplify_fixpoint)
 from cnfkit.cli import main
-from cnfkit.encode import (build_varmap, gate_clauses, plaisted_greenbaum,
-                           tseitin)
+from cnfkit.encode import (UnnormalizedGate, VarMap, build_varmap,
+                           gate_clauses, plaisted_greenbaum, tseitin)
 from cnfkit.formula import CnfFormula, lit_key, normalize_clause
 from cnfkit.io import parse_circuit, parse_dimacs, write_circuit, write_dimacs
 from conftest import parity_circuit, random_circuit
@@ -37,6 +39,47 @@ def reference_normalize(lits):
     return tuple(sorted(seen, key=lit_key)), any(-l in seen for l in seen)
 
 
+def reference_gate_clauses(circuit, name, vm, pol):
+    """``gate_clauses`` as first written: the same row tables, and every
+    row through ``normalize_clause``'s definition, tautologies dropped."""
+    gate = circuit.gates[name]
+    func = gate.func
+    g = vm.var(name)
+    kids = [vm.var(c) for c in gate.children]
+    if func == INPUT:
+        pos, neg = [], []
+    elif func == TRUE:
+        pos, neg = [], [[g]]
+    elif func == FALSE:
+        pos, neg = [[-g]], []
+    elif func == AND:
+        pos, neg = [[-g, c] for c in kids], [[g] + [-c for c in kids]]
+    elif func == OR:
+        pos, neg = [[-g] + kids], [[g, -c] for c in kids]
+    elif func == NOT:
+        pos, neg = [[-g, -kids[0]]], [[g, kids[0]]]
+    elif func == IMPLY:
+        a, b = kids
+        pos, neg = [[-g, -a, b]], [[g, a], [g, -b]]
+    elif func == XOR and len(kids) == 2:
+        a, b = kids
+        pos, neg = [[-g, a, b], [-g, -a, -b]], [[g, -a, b], [g, a, -b]]
+    elif func == EQUIV and len(kids) == 2:
+        a, b = kids
+        pos, neg = [[-g, -a, b], [-g, a, -b]], [[g, a, b], [g, -a, -b]]
+    elif func == ITE:
+        c, t, e = kids
+        pos, neg = [[-g, -c, t], [-g, c, e]], [[g, -c, -t], [g, c, -e]]
+    else:
+        raise UnnormalizedGate(name)
+    clauses = []
+    for row in (pos if pol & POS else []) + (neg if pol & NEG else []):
+        clause, taut = reference_normalize(row)
+        if not taut:
+            clauses.append(clause)
+    return clauses
+
+
 def reference_encode(circuit, restricted):
     """The formula-based encoder: every clause goes through
     ``CnfFormula.add_clause``, gates by variable, each gate's positive side
@@ -49,8 +92,8 @@ def reference_encode(circuit, restricted):
         if restricted:
             sides = [side for side in (POS, NEG) if pol[name] & side]
         for side in sides:
-            for clause in gate_clauses(circuit, name, vm, side):
-                formula.add_clause(reference_normalize(clause)[0])
+            for clause in reference_gate_clauses(circuit, name, vm, side):
+                formula.add_clause(clause)
     for name, req in circuit.constraints:
         formula.add_clause([vm.var(name) if req else -vm.var(name)])
     return formula, vm
@@ -125,6 +168,42 @@ def test_cli_text_matches_the_formula_based_encoder(tmp_path, options):
         assert (tmp_path / "out.cnf.map").read_text() == varmap
 
 
+def test_gate_clauses_match_the_normalize_every_row_reference():
+    """Every function over one to four children drawn from four inputs, so
+    with every pattern of repeated children (``AND(a, a)``, ``XOR(a, a)``,
+    ``ITE(a, a, b)``, ``IMPLY(a, a)``, ...), under each polarity and under
+    variable maps that number the gate above its children, below them, in
+    between, or on the same variable as a child."""
+    pool = ("a", "b", "c", "d")
+    rng = random.Random(2024)
+    maps = [dict(zip(("g",) + pool, range(5, 0, -1))),   # gate below
+            dict(zip(pool + ("g",), range(1, 6))),        # gate above
+            {"a": 1, "b": 2, "g": 3, "c": 4, "d": 5},    # gate between
+            {"g": 2, "a": 2, "b": 3, "c": 1, "d": 4}]    # gate shares a's
+    for _ in range(4):
+        maps.append({n: rng.randint(1, 5) for n in ("g",) + pool})
+    checked = 0
+    for func, (least, most) in FUNCS.items():
+        for width in range(least, (4 if most is None else most) + 1):
+            for kids in itertools.product(pool, repeat=width):
+                circuit = Circuit()
+                for name in pool:
+                    circuit.add_input(name)
+                circuit.add_gate("g", func, kids, 0, width)
+                for numbering in maps:
+                    vm = VarMap(numbering)
+                    for pol in (POS, NEG, BOTH):
+                        try:
+                            want = reference_gate_clauses(circuit, "g", vm, pol)
+                        except UnnormalizedGate:
+                            with pytest.raises(UnnormalizedGate):
+                                gate_clauses(circuit, "g", vm, pol)
+                            continue
+                        assert gate_clauses(circuit, "g", vm, pol) == want
+                        checked += 1
+    assert checked > 10_000
+
+
 @pytest.mark.parametrize("encode", [tseitin, plaisted_greenbaum])
 def test_library_wrappers_match_the_formula_based_encoder(encode):
     restricted = encode is plaisted_greenbaum
@@ -196,9 +275,11 @@ def normalize_calls(monkeypatch):
 @pytest.mark.parametrize("encoding", ["tst", "pg"])
 def test_encode_normalizes_each_written_clause_once(tmp_path, normalize_calls,
                                                     encoding):
-    """One ``normalize_clause`` call per gate clause written.  Constraint
-    units are single literals and need none.  The parity circuits have no
-    repeated children, so no gate row is a dropped tautology."""
+    """At most one ``normalize_clause`` call per gate clause written: none
+    for a gate whose variables are all distinct, whose rows are canonical
+    once sorted, and one per row, tautologies included, for a gate with a
+    repeated child.  Constraint units are single literals and need none.
+    The parity circuits have no repeated children."""
     source, target = tmp_path / "in.bc", tmp_path / "out.cnf"
     rng = random.Random(31)
     for gates in (40, 120):
@@ -208,9 +289,18 @@ def test_encode_normalizes_each_written_clause_once(tmp_path, normalize_calls,
         assert main(["encode", str(source), str(target),
                      "--encoding", encoding]) == 0
         written = int(target.read_text().split("\n", 1)[0].split()[3])
-        units = len(circuit.constraints)
-        assert written > units
-        assert len(normalize_calls) == written - units
+        assert written > len(circuit.constraints)
+        assert normalize_calls == []
+    # rows per repeated-child gate, tst then pg (where only the positive
+    # side of each is needed): AND(x, x) 2+1, XOR(y, y) 2+2, ITE(c, c, e)
+    # 2+2 and IMPLY(a, a) 1+2; four of the 14 are tautologies
+    source.write_text("BC1.1\nga := AND(x, x);\ngx := XOR(y, y);\n"
+                      "gi := ITE(c, c, e);\ngm := IMPLY(a, a);\n"
+                      "o := OR(ga, gx, gi, gm);\nASSIGN o;\n")
+    del normalize_calls[:]
+    assert main(["encode", str(source), str(target),
+                 "--encoding", encoding]) == 0
+    assert len(normalize_calls) == {"tst": 14, "pg": 7}[encoding]
 
 
 def test_encoders_call_gate_clauses_once_per_encoded_gate(monkeypatch):

@@ -15,6 +15,7 @@ from cnfkit.io import (CircuitFormatError, DimacsError, LiteralOutOfRange,
                        parse_circuit, parse_dimacs, parse_dimacs_with_report,
                        parse_model, render_stats, run_external_solver,
                        write_circuit, write_dimacs)
+from cnfkit.io.dimacs import _clause_lines
 from cnfkit.cli import main
 from cnfkit.elim import ElimReport, TechniqueId
 from cnfkit.reconstruct import ReconstructionStack, StackFormatError
@@ -100,6 +101,23 @@ class TestWriteDimacs:
             again = parse_dimacs(text)
             assert again == f
             assert write_dimacs(again) == text
+
+    def test_clause_lines_match_joined_literals(self, rng):
+        """One ``%`` format per clause length writes what joining each
+        literal's ``str`` wrote, from the empty clause to a wide one."""
+        def reference(clauses):
+            return "".join(" ".join([str(l) for l in c] + ["0\n"])
+                           for c in clauses)
+
+        wide = tuple(rng.choice((-1, 1)) * v for v in range(1, 2001))
+        clauses = [tuple(rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 6))
+                         for _ in range(rng.randint(0, 12)))
+                   for _ in range(1000)]
+        for case in ([()], [(-7,)], [wide], clauses, clauses + [wide, ()]):
+            assert _clause_lines(case) == reference(case)
+        assert _clause_lines([]) == ""
+        f = CnfFormula(clauses=[wide, (3,), (-1, 2)])
+        assert parse_dimacs(write_dimacs(f)) == f
 
     @given(st.lists(st.lists(st.integers(min_value=-6, max_value=6).filter(bool),
                              min_size=1, max_size=4), max_size=12))
