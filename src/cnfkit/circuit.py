@@ -441,17 +441,12 @@ def simplify_fixpoint(circuit: Circuit, passes=("coi", "nsi", "mir")):
     Returns (circuit, fixed_inputs): inputs MIR fixed are folded away from the
     circuit and reported in the sidecar map.  Every pass returns a new
     circuit and leaves its input alone; with no passes the input comes back
-    as is.  An unknown pass name is a ValueError.
+    as is.  An unknown pass name is a ValueError, raised after ``validate``.
 
     The input is validated once, on entry: no pass can make a valid circuit
     invalid, so the MIR rounds do not check it again.
     """
     validate(circuit)
-    return _simplify(circuit, passes)
-
-
-def _simplify(circuit, passes):
-    """``simplify_fixpoint`` on a circuit already known to be valid."""
     for name in passes:
         if name not in ("coi", "nsi", "mir"):
             raise ValueError(f"unknown simplification pass {name!r}")
@@ -475,13 +470,10 @@ def normalize_circuit(circuit: Circuit) -> Circuit:
     (EVEN as NOT of the chain), n-ary EQUIV becomes a conjunction of binary
     comparisons against the first child, and CARD expands through the usual
     if-then-else recursion with memoized subproblems.  Gate values are
-    preserved on every input assignment; surviving gates keep their ids."""
-    return _normalize(circuit, validate(circuit))
-
-
-def _normalize(circuit, order):
-    """``normalize_circuit`` along ``order``, the order ``validate`` returns
-    for ``circuit``: that walk fixes the fresh names, and so the output."""
+    preserved on every input assignment; surviving gates keep their ids.
+    Gates are rewritten along the order ``validate`` gives the input, which
+    fixes the fresh names, and so the output."""
+    order = validate(circuit)
     out = Circuit()
     mapping: dict[str, str] = {}
     taken = set(circuit.gates)

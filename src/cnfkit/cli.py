@@ -17,14 +17,14 @@ import json
 import sys
 
 from . import bench, oracle
-from .circuit import _normalize, _simplify, normalize_circuit
+from .circuit import normalize_circuit, simplify_fixpoint
 from .elim import PipelineConfig, run_pipeline
 from .encode import _encode, build_varmap
 from .formula import satisfies
 from .io import (SolverResult, atomic_write, model_text,
                  parse_dimacs_with_report, parse_model, render_stats,
                  run_external_solver, write_dimacs)
-from .io.bcformat import _parse_circuit
+from .io.bcformat import _parse
 from .io.dimacs import _clause_lines
 from .reconstruct import ReconstructionStack, reconstruct_model
 
@@ -71,16 +71,12 @@ def cmd_prep(args):
 
 
 def cmd_encode(args):
-    # the parser has validated the circuit: simplification needs no check,
-    # and normalizing reuses the parser's order unless simplification made a
-    # new circuit
-    circuit, order = _parse_circuit(_read(args.input))
+    # read without a check: the first pass below validates the circuit
+    circuit = _parse(_read(args.input))
     fixed = {}
     if args.simplify:
-        circuit, fixed = _simplify(circuit, _names(args.simplify))
-        circuit = normalize_circuit(circuit)
-    else:
-        circuit = _normalize(circuit, order)
+        circuit, fixed = simplify_fixpoint(circuit, _names(args.simplify))
+    circuit = normalize_circuit(circuit)
     vm = build_varmap(circuit)
     vm.fixed_inputs.update(fixed)
     # each gate's clauses go to text as they are made: no clause list of the

@@ -275,9 +275,9 @@ def failed_literal_probe(formula: CnfFormula):
     """Probe every literal; any literal whose assumption propagates to a
     conflict yields its negation as a learned unit, which is then applied.
 
-    Probes run in the order 1, -1, 2, -2, ... and restart after each learned
-    unit.  Returns ``(formula, learned_units)``; an unsatisfiable formula
-    comes back containing the empty clause.
+    Probes run in the order 1, -1, 2, -2, ... over the occurring variables
+    and restart after each learned unit.  Returns ``(formula, learned_units)``;
+    an unsatisfiable formula comes back containing the empty clause.
     """
     if formula.has_empty_clause:
         raise ValueError("formula already contains the empty clause")
@@ -285,19 +285,22 @@ def failed_literal_probe(formula: CnfFormula):
     # the top-level closure; once applied, unit propagation on the rewritten
     # formula gives back exactly this assignment, so it is carried forward
     assign = bcp(formula)
-    var = 1
-    while assign is not None and var <= formula.num_vars:
-        if var not in assign and (formula.occ_ids(var) or formula.occ_ids(-var)):
-            for lit in (var, -var):
-                if propagate(formula, (-lit,))[1]:
-                    learned.append(-lit)
-                    formula.add_clause([-lit])
-                    assign = bcp(formula)
-                    if assign is not None:
-                        _apply_assignment(formula, assign)
-                    var = 0  # restart at variable 1
-                    break
-        var += 1
+    dirty = _DirtyVars(formula)
+    for var in dirty:
+        if assign is None:
+            break
+        if var in assign or not (formula.occ_ids(var) or formula.occ_ids(-var)):
+            continue
+        for lit in (var, -var):
+            if propagate(formula, (-lit,))[1]:
+                learned.append(-lit)
+                formula.add_clause([-lit])
+                assign = bcp(formula)
+                if assign is not None:
+                    _apply_assignment(formula, assign)
+                # a probe reads the whole formula: check every variable again
+                dirty.touch(formula.clauses.values())
+                break
     if assign is None:
         formula.add_clause([])
     elif assign:
@@ -306,7 +309,8 @@ def failed_literal_probe(formula: CnfFormula):
 
 
 class _DirtyVars:
-    """Variables 1..num_vars to check again, taken smallest first.
+    """Variables to check again, taken smallest first: at the start, those
+    that occur in ``formula``, whatever its declared variable count.
 
     Iterating yields the smallest dirty variable and marks it clean;
     ``touch`` marks the variables of some clauses dirty again.  A procedure
@@ -314,10 +318,11 @@ class _DirtyVars:
     touches the variables of every clause it adds or removes: a clean
     variable's lists are then unchanged since its last failed check, so it
     still fails, and the variable yielded is the smallest that qualifies.
+    A variable in no clause fails such a check until a clause adds it.
     """
 
-    def __init__(self, num_vars: int):
-        self.heap = list(range(1, num_vars + 1))
+    def __init__(self, formula: CnfFormula):
+        self.heap = sorted({abs(l) for l in formula.occ})
         self.queued = set(self.heap)
 
     def __iter__(self):
@@ -344,7 +349,7 @@ def pure_literal_elim(formula: CnfFormula, stack=None) -> CnfFormula:
     restart at variable 1 after every pure literal would.  Only the
     variables of the removed clauses are checked again.
     """
-    dirty = _DirtyVars(formula.num_vars)
+    dirty = _DirtyVars(formula)
     for var in dirty:
         pos, neg = formula.occ_ids(var), formula.occ_ids(-var)
         if bool(pos) == bool(neg):
@@ -504,7 +509,7 @@ def bounded_variable_elim(formula: CnfFormula, growth_bound: int = 0,
     """
     if growth_bound < 0:
         raise ValueError("growth_bound must be >= 0")
-    dirty = _DirtyVars(formula.num_vars)
+    dirty = _DirtyVars(formula)
     for var in dirty:
         pos = sorted(formula.occ_ids(var))
         neg = sorted(formula.occ_ids(-var))

@@ -30,6 +30,8 @@ _DEF_RE = re.compile(
     r"(?:\{(?P<lo>\d+),(?P<hi>\d+)\})?"
     r"\s*\((?P<args>[^()]*)\)\s*;$")
 _ASSIGN_RE = re.compile(r"^ASSIGN\s+(?P<neg>~?)(?P<name>\w+)\s*;$")
+# one argument; in _DEF_RE, ``re`` would keep state for each repetition
+_NAME_RE = re.compile(r"\w+")
 
 
 class CircuitFormatError(Exception):
@@ -41,11 +43,15 @@ class UnknownFunction(CircuitFormatError):
 
 
 def parse_circuit(text: str) -> Circuit:
-    return _parse_circuit(text)[0]
+    """The circuit the text describes, checked by ``validate``."""
+    circuit = _parse(text)
+    validate(circuit)
+    return circuit
 
 
-def _parse_circuit(text):
-    """The parsed circuit and the order ``validate`` returned for it."""
+def _parse(text):
+    """The circuit the text describes, unchecked: it may hold a cycle or bad
+    arity or bounds, so the caller must pass it to a pass that validates."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != CIRCUIT_HEADER:
         raise CircuitFormatError(f"missing {CIRCUIT_HEADER} header line")
@@ -79,7 +85,7 @@ def _parse_circuit(text):
                 raise CircuitFormatError(f"line {lineno}: bounds only "
                                          "allowed on CARD")
             for arg in args:
-                if not re.fullmatch(r"\w+", arg):
+                if not _NAME_RE.fullmatch(arg):
                     raise CircuitFormatError(f"line {lineno}: bad argument "
                                              f"{arg!r}")
             circuit.add_gate(m.group("name"), func, args, lo, hi)
@@ -97,7 +103,7 @@ def _parse_circuit(text):
             circuit.add_input(name)
     for name, req in constraints:
         circuit.add_constraint(name, req)
-    return circuit, validate(circuit)
+    return circuit
 
 
 def write_circuit(circuit: Circuit) -> str:

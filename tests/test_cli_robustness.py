@@ -1,7 +1,12 @@
-"""Inputs from the wild: SATLIB trailers and circuits deep enough to exhaust
-the interpreter's recursion limit must not crash the command line."""
+"""Inputs from the wild: SATLIB trailers, invalid circuits and circuits deep
+enough to exhaust the interpreter's recursion limit must not crash the
+command line."""
 
+import pytest
+
+from cnfkit.circuit import CircuitError
 from cnfkit.cli import main
+from cnfkit.io import parse_circuit
 
 SATLIB_CLAUSES = "c uf3\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n"
 
@@ -26,3 +31,28 @@ def test_any_failure_is_exit_1_with_a_message(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "wide.cnf").exists()
+
+
+INVALID_CIRCUITS = {"cycle": "g := AND(g);", "arity": "g := ITE(x, y);",
+                    "bounds": "g := CARD{2,1}(x, y);"}
+ENCODE_PATHS = {"tst": ["--encoding", "tst"], "pg": ["--encoding", "pg"],
+                "pg-simplify": ["--encoding", "pg", "--simplify", "coi,nsi,mir"],
+                "pg-bad-pass": ["--encoding", "pg", "--simplify", "xyz"]}
+
+
+@pytest.mark.parametrize("options", ENCODE_PATHS.values(), ids=ENCODE_PATHS)
+@pytest.mark.parametrize("body", INVALID_CIRCUITS.values(),
+                         ids=INVALID_CIRCUITS)
+def test_invalid_circuit_fails_alike_on_every_encode_path(tmp_path, capsys,
+                                                          body, options):
+    """Every encode path reports what ``parse_circuit`` raises, before any
+    pass runs: with no constraint, COI would drop the bad gate, and an
+    unknown pass name would be reported instead."""
+    text = f"BC1.1\n{body}\n"
+    with pytest.raises(CircuitError) as raised:
+        parse_circuit(text)
+    circuit, output = tmp_path / "bad.bc", tmp_path / "bad.cnf"
+    circuit.write_text(text)
+    assert main(["encode", str(circuit), str(output), *options]) == 1
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert list(tmp_path.iterdir()) == [circuit]

@@ -1,5 +1,6 @@
 """The runtime stays stdlib-only: every absolute import in the package names
-``cnfkit`` itself or a standard-library module."""
+``cnfkit`` itself or a standard-library module.  Its syntax stays within the
+oldest Python that ``pyproject.toml`` claims."""
 
 import ast
 import pathlib
@@ -26,3 +27,9 @@ def test_runtime_imports_are_stdlib_only():
                if name.partition(".")[0] != "cnfkit"
                and name.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_syntax_parses_as_python_3_10():
+    """``requires-python = ">=3.10"``: no module uses later syntax."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -1,12 +1,15 @@
 """Deterministic work counts: calls that a pass makes, counted by wrapping
-the function it calls.  A count reads the same on every host and every run,
-so growth shows up even when timings are noisy."""
+the function it calls, and the memory a variable scan allocates.  A count
+reads the same on every host and every run, so growth shows up even when
+timings are noisy."""
 
 import random
+import tracemalloc
 
 import pytest
 
 import cnfkit.circuit
+import cnfkit.elim
 import cnfkit.encode
 import cnfkit.formula
 import cnfkit.io.bcformat
@@ -15,8 +18,9 @@ from cnfkit.circuit import (AND, INPUT, NOT, OR, Circuit, CycleError,
                             validate)
 from cnfkit.cli import main
 from cnfkit.encode import tseitin
-from cnfkit.formula import failed_literal_probe
-from cnfkit.io import parse_circuit, write_circuit
+from cnfkit.formula import (CnfFormula, bounded_variable_elim,
+                            failed_literal_probe, pure_literal_elim)
+from cnfkit.io import parse_circuit, parse_dimacs, write_circuit
 from conftest import parity_circuit
 
 
@@ -36,9 +40,11 @@ def validate_calls(monkeypatch):
 
 
 def test_encode_validates_each_distinct_circuit_once(tmp_path, validate_calls):
-    """tst: the parsed circuit (its order also drives normalization) and the
-    normalized one (for numbering).  pg with simplification: the parsed,
-    the simplified and the normalized circuit, however many MIR rounds."""
+    """The reader checks nothing; each pass checks its own input.  tst: the
+    parsed circuit (by normalize_circuit) and the normalized one (by
+    build_varmap).  pg with simplification: the parsed circuit (by
+    simplify_fixpoint), the simplified one (by normalize_circuit) and the
+    normalized one, however many MIR rounds run."""
     circuit = parity_circuit(random.Random(3), 60)
     simplified, _ = simplify_fixpoint(circuit)
     assert simplified != circuit
@@ -110,3 +116,111 @@ def test_failed_literal_probe_work(monkeypatch):
         assert 0 < len(sizes) <= calls
         assert sum(sizes) <= literals
     assert work[800] <= 2.6 * work[400]
+
+
+def parity_cnf(n):
+    return tseitin(normalize_circuit(parity_circuit(random.Random(n + 1), n)))[0]
+
+
+# checks that elim._worklist makes per eliminate_blocked run, each technique
+# alone on a fresh copy of the Tseitin encoding of
+# parity_circuit(random.Random(n + 1), n), as counted at the commit that
+# added this test
+BLOCKED_CHECKS = {"bce": {200: 1090, 400: 2151, 800: 4575},
+                  "hbce": {200: 1518, 400: 3419, 800: 7338},
+                  "abce": {200: 1692, 400: 3958, 800: 9211}}
+
+
+@pytest.mark.parametrize("technique", BLOCKED_CHECKS)
+def test_blocked_clause_elimination_work(monkeypatch, technique):
+    """The checks grow no faster than they did when this test was written:
+    2.5x from 400 to 800 gates (2.13, 2.15 and 2.33 measured).  Counts may
+    fall."""
+    checks = []
+    worklist = cnfkit.elim._worklist
+
+    def counting(formula, stats, check, scan_order=None):
+        def counted(cid):
+            checks.append(cid)
+            return check(cid)
+        return worklist(formula, stats, counted, scan_order)
+
+    monkeypatch.setattr(cnfkit.elim, "_worklist", counting)
+    function, mode = cnfkit.elim._TECHNIQUES[technique]
+    work = {}
+    for n, ceiling in BLOCKED_CHECKS[technique].items():
+        formula = parity_cnf(n)
+        del checks[:]
+        function(formula, mode)
+        work[n] = len(checks)
+        assert 0 < len(checks) <= ceiling
+    assert work[800] <= 2.5 * work[400]
+
+
+# resolvents that formula._resolvents yields to bounded_variable_elim(f, 0)
+# on the same formulas, as counted at the commit that added this test
+VE_RESOLVENTS = {200: 6291, 400: 12622, 800: 24783}
+
+
+def test_bounded_variable_elim_work(monkeypatch):
+    """The resolvents grow no faster than they did when this test was
+    written: 2.5x from 400 to 800 gates (1.96 measured).  Counts may
+    fall."""
+    yielded = []
+    resolvents = cnfkit.formula._resolvents
+
+    def counting(*args):
+        for merged in resolvents(*args):
+            yielded.append(merged)
+            yield merged
+
+    monkeypatch.setattr(cnfkit.formula, "_resolvents", counting)
+    work = {}
+    for n, ceiling in VE_RESOLVENTS.items():
+        formula = parity_cnf(n)
+        del yielded[:]
+        bounded_variable_elim(formula, 0)
+        work[n] = len(yielded)
+        assert 0 < len(yielded) <= ceiling
+    assert work[800] <= 2.5 * work[400]
+
+# A header may declare far more variables than occur, and a variable scan
+# costs what occurs.  Before the commit that added these tests, PL and VE
+# queued every declared variable (a tracemalloc peak of 90 MB here, against
+# 2 KB after), and FLE scanned them all again after each learned unit (2.2
+# million occ_ids calls here, against 170 after).
+SPARSE = "p cnf 1000000 2\n1 2 0\n-1 2 0\n"
+
+
+@pytest.mark.parametrize("technique, left", [(pure_literal_elim, []),
+                                             (bounded_variable_elim, [(2,)])],
+                         ids=["pl", "ve"])
+def test_variable_scan_memory_follows_occurring_variables(technique, left):
+    formula = parse_dimacs(SPARSE)
+    tracemalloc.start()
+    try:
+        technique(formula)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(formula.clauses.values()) == left
+    assert peak < 64_000
+
+
+def test_failed_literal_probe_scan_follows_occurring_variables(monkeypatch):
+    """Ten failed literals at the top of 100,000 declared variables: each
+    pair (-x y) (-x -y) fails x, and the learned unit satisfies both."""
+    top = 100_000
+    pairs = [(top - 2 * i - 1, top - 2 * i) for i in range(10)]
+    formula = CnfFormula(top, [c for x, y in pairs for c in ((-x, y), (-x, -y))])
+    calls = []
+    occ_ids = CnfFormula.occ_ids
+
+    def counting(self, lit):
+        calls.append(lit)
+        return occ_ids(self, lit)
+
+    monkeypatch.setattr(CnfFormula, "occ_ids", counting)
+    _, learned = failed_literal_probe(formula)
+    assert learned == [-x for x, _ in sorted(pairs)]
+    assert len(calls) <= 1_000
