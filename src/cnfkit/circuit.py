@@ -443,6 +443,11 @@ def simplify_fixpoint(circuit: Circuit, passes=("coi", "nsi", "mir")):
     circuit and leaves its input alone; with no passes the input comes back
     as is.  An unknown pass name is a ValueError, raised after ``validate``.
 
+    COI and NSI each reach their own fixpoint in one call, and NSI deletes
+    only inputs that the rewritten gate alone read, so it leaves no gate
+    unreachable for COI.  Only a MIR fold can give either more work: the
+    cycle stops once MIR fixes no input, or after one cycle without MIR.
+
     The input is validated once, on entry: no pass can make a valid circuit
     invalid, so the MIR rounds do not check it again.
     """
@@ -453,16 +458,16 @@ def simplify_fixpoint(circuit: Circuit, passes=("coi", "nsi", "mir")):
     current = circuit
     fixed: dict[str, bool] = {}
     while True:
-        before = current
         if "coi" in passes:
             current = coi_reduce(current)
         if "nsi" in passes:
             current = nsi_reduce(current)
-        if "mir" in passes:
-            current, newly = _mir(current)
-            fixed.update(newly)
-        if current == before:
+        if "mir" not in passes:
             return current, fixed
+        current, newly = _mir(current)
+        if not newly:
+            return current, fixed
+        fixed.update(newly)
 
 
 def normalize_circuit(circuit: Circuit) -> Circuit:

@@ -13,7 +13,6 @@ the reduced formula can be repaired afterwards.
 """
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -68,15 +67,6 @@ class ElimReport:
         return sum(s.clauses_added for s in self.techniques.values())
 
 
-@contextmanager
-def _timed(stats: TechniqueStats):
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        stats.seconds += time.perf_counter() - start
-
-
 def is_tautology(lits) -> bool:
     s = set(lits)
     return any(-l in s for l in s)
@@ -104,11 +94,7 @@ def _resolvent_is_taut(wset, lit, cset):
     """Is (W | (C' - {-lit})) - {lit} a tautology?  W is assumed
     complement-free; pairs internal to C' are checked."""
     for x in cset:
-        if x == lit or x == -lit:
-            continue
-        if -x in wset and -x != lit:
-            return True
-        if -x in cset and -x != lit and -x != -lit:
+        if x != lit and x != -lit and (-x in wset or -x in cset):
             return True
     return False
 
@@ -322,6 +308,11 @@ def eliminate_covered(formula, mode=ExtensionMode.NONE, stack=None, stats=None):
     """CCE / HCCE / ACCE: alternate the mode's extension with covered literal
     additions until the working clause is removable, tautological, or stable.
 
+    The extension is a closure: extending a non-tautological extension adds
+    nothing.  So once a covered sweep adds no literal, the next extension and
+    sweep would see the same clause and add nothing either, and the clause
+    is stable.
+
     A tautology reached through the extension alone is a pure deletion, but if
     covered additions contributed, the accumulated steps are pushed because
     those additions are only satisfiability-preserving with their witnesses.
@@ -332,7 +323,6 @@ def eliminate_covered(formula, mode=ExtensionMode.NONE, stack=None, stats=None):
         wset = set(formula.clauses[cid])
         steps = []
         while True:
-            before = set(wset)
             wset, taut, added = _extend(formula, wset, cid, mode)
             stats.literals_added += added
             if taut:
@@ -346,7 +336,7 @@ def eliminate_covered(formula, mode=ExtensionMode.NONE, stack=None, stats=None):
                 if stack is not None:
                     stack.push_clause(steps)
                 return None
-            if wset == before:
+            if not cadded:
                 return {abs(l) for l in wset}
 
     return _worklist(formula, stats, check)
@@ -439,19 +429,20 @@ def run_pipeline(formula: CnfFormula, order, config=None):
                 break
             procedure, mode = _TECHNIQUES[tid]
             stats = report.stats(tid)
-            with _timed(stats):
-                if mode is not None:
-                    procedure(formula, mode, stack, stats)
+            start = time.perf_counter()
+            if mode is not None:
+                procedure(formula, mode, stack, stats)
+            else:
+                before = len(formula.clauses)
+                stats.rounds += 1
+                procedure(formula, stack, config)
+                # net accounting keeps removed-added equal to the size delta
+                delta = len(formula.clauses) - before
+                if delta < 0:
+                    stats.clauses_removed -= delta
                 else:
-                    before = len(formula.clauses)
-                    stats.rounds += 1
-                    procedure(formula, stack, config)
-                    # net accounting keeps removed-added equal to the size delta
-                    delta = len(formula.clauses) - before
-                    if delta < 0:
-                        stats.clauses_removed -= delta
-                    else:
-                        stats.clauses_added += delta
+                    stats.clauses_added += delta
+            stats.seconds += time.perf_counter() - start
         if (formula.has_empty_clause or not config.global_fixpoint
                 or formula.clause_multiset() == signature):
             break

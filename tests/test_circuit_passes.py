@@ -4,6 +4,7 @@ polarity rule written out twice, NSI rebuilding the parent index and
 rescanning every gate after each rewrite, and MIR scanning every gate for
 each folded constant with a recursive safety check."""
 
+import itertools
 import json
 import random
 
@@ -293,6 +294,11 @@ def test_validate_and_polarity_match_reference(part):
                 reference_polarity_is_closed(circuit, candidate)
 
 
+# every nonempty subset of the passes, each in simplify_fixpoint's order
+PASS_SETS = [passes for k in (1, 2, 3)
+             for passes in itertools.combinations(("coi", "nsi", "mir"), k)]
+
+
 @pytest.mark.parametrize("part", range(SLICES))
 def test_passes_match_reference(part):
     for circuit in CORPUS[part::SLICES]:
@@ -300,9 +306,19 @@ def test_passes_match_reference(part):
             pinned(reference_nsi_reduce(circuit))
         assert pinned(*mir_reduce(circuit)) == \
             pinned(*reference_mir_reduce(circuit))
-        passes = ("coi", "nsi", "mir")
-        assert pinned(*simplify_fixpoint(circuit, passes)) == \
-            pinned(*reference_simplify_fixpoint(circuit, passes))
+        for passes in PASS_SETS:
+            assert pinned(*simplify_fixpoint(circuit, passes)) == \
+                pinned(*reference_simplify_fixpoint(circuit, passes))
+
+
+@pytest.mark.parametrize("part", range(SLICES))
+def test_coi_then_nsi_leaves_both_nothing(part):
+    """One COI and one NSI are a fixpoint of both passes, which is why
+    simplify_fixpoint stops once MIR fixes no input."""
+    for circuit in CORPUS[part::SLICES]:
+        reduced = nsi_reduce(coi_reduce(circuit))
+        assert pinned(coi_reduce(reduced)) == pinned(reduced)
+        assert pinned(nsi_reduce(reduced)) == pinned(reduced)
 
 
 def test_cycle_report_matches_reference():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cnfkit.elim import (ExtensionMode, PipelineConfig, TechniqueId,
-                         blocking_literal, covered_literal_additions,
+                         _extend, blocking_literal, covered_literal_additions,
                          eliminate_blocked, eliminate_covered,
                          eliminate_subsumed, eliminate_tautologies,
                          extend_clause, find_subsumer, is_blocked,
@@ -52,6 +52,20 @@ class TestExtendClause:
                     again = probe.add_clause(ext)
                     assert set(extend_clause(probe, again, mode,
                                              early_exit=False)) == set(ext)
+
+    def test_extension_is_a_closure(self, rng):
+        # eliminate_covered stops on this: extending a non-tautological
+        # extension, of a clause or of its covered additions, adds nothing
+        for _ in range(150):
+            f = random_formula(rng, max_vars=6, max_clauses=10)
+            for cid in f.ids():
+                covered = covered_literal_additions(f, cid).lits
+                for base in (f.clauses[cid], covered):
+                    for mode in ExtensionMode:
+                        wset, taut, _ = _extend(f, base, cid, mode)
+                        if not taut:
+                            assert _extend(f, wset, cid, mode) == \
+                                (wset, False, 0)
 
 
 class TestIsTautology:

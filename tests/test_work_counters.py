@@ -13,9 +13,9 @@ import cnfkit.elim
 import cnfkit.encode
 import cnfkit.formula
 import cnfkit.io.bcformat
-from cnfkit.circuit import (AND, INPUT, NOT, OR, Circuit, CycleError,
-                            mir_reduce, normalize_circuit, simplify_fixpoint,
-                            validate)
+from cnfkit.circuit import (AND, EQUIV, INPUT, NOT, OR, XOR, Circuit,
+                            CycleError, mir_reduce, normalize_circuit,
+                            simplify_fixpoint, validate)
 from cnfkit.cli import main
 from cnfkit.encode import tseitin
 from cnfkit.formula import (CnfFormula, bounded_variable_elim,
@@ -87,6 +87,51 @@ def test_normalize_circuit_rejects_a_cycle():
         normalize_circuit(c)
 
 
+@pytest.fixture
+def pass_calls(monkeypatch):
+    """Calls simplify_fixpoint makes to each pass, by function name."""
+    calls = dict.fromkeys(("coi_reduce", "nsi_reduce", "_mir"), 0)
+    for name in calls:
+        def counting(circuit, name=name,
+                     function=getattr(cnfkit.circuit, name)):
+            calls[name] += 1
+            return function(circuit)
+        monkeypatch.setattr(cnfkit.circuit, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("passes", [("coi", "nsi", "mir"), ("coi", "nsi")])
+def test_simplify_fixpoint_without_folds_runs_one_cycle(pass_calls, passes):
+    """MIR fixes nothing under a parity constraint, so one cycle is the
+    fixpoint.  The commit before this test ran a second cycle to confirm."""
+    circuit = parity_circuit(random.Random(3), 60)
+    _, fixed = simplify_fixpoint(circuit, passes)
+    assert fixed == {}
+    assert pass_calls == {"coi_reduce": 1, "nsi_reduce": 1,
+                          "_mir": int("mir" in passes)}
+
+
+@pytest.mark.parametrize("func, value", [(OR, True), (AND, False)])
+def test_simplify_fixpoint_after_a_fold_runs_two_cycles(pass_calls, func,
+                                                        value):
+    """MIR fixes x and folds the constant through o; the second cycle's COI
+    drops o and its MIR fixes nothing.  The commit before this test ran a
+    third cycle to confirm."""
+    c = Circuit()
+    for name in ("x", "y", "w"):
+        c.add_input(name)
+    # y and w stay shared and occur in both polarities
+    c.add_gate("a", XOR, ("y", "w"))
+    c.add_gate("b", EQUIV, ("y", "w"))
+    c.add_gate("o", func, ("x", "a"))
+    for name, req in (("a", True), ("b", True), ("o", value)):
+        c.add_constraint(name, req)
+    simplified, fixed = simplify_fixpoint(c)
+    assert fixed == {"x": value}
+    assert sorted(simplified.gates) == ["a", "b", "w", "y"]
+    assert pass_calls == {"coi_reduce": 2, "nsi_reduce": 2, "_mir": 2}
+
+
 # (propagate calls, summed sizes of the sets they return) during
 # failed_literal_probe on the Tseitin encoding of
 # parity_circuit(random.Random(n + 1), n), as counted at the commit that
@@ -155,6 +200,35 @@ def test_blocked_clause_elimination_work(monkeypatch, technique):
         work[n] = len(checks)
         assert 0 < len(checks) <= ceiling
     assert work[800] <= 2.5 * work[400]
+
+
+# elim._covered calls per eliminate_covered run on the same formulas, as
+# counted at the commit that added this test.  CCE's extension adds nothing,
+# so its count did not change then and is not held here.
+COVERED_CALLS = {"hcce": {100: 1088, 200: 2301},
+                 "acce": {100: 953, 200: 2544}}
+
+
+@pytest.mark.parametrize("technique", COVERED_CALLS)
+def test_covered_clause_elimination_work(monkeypatch, technique):
+    """A kept clause stops at the first covered sweep that adds no literal.
+    The commit before this test confirmed each kept clause with one more
+    extension and sweep: hcce made 1,744 and 3,730 calls, acce 1,557 and
+    4,282.  Counts may fall."""
+    calls = []
+    covered = cnfkit.elim._covered
+
+    def counting(formula, wset, cid):
+        calls.append(cid)
+        return covered(formula, wset, cid)
+
+    monkeypatch.setattr(cnfkit.elim, "_covered", counting)
+    function, mode = cnfkit.elim._TECHNIQUES[technique]
+    for n, ceiling in COVERED_CALLS[technique].items():
+        formula = parity_cnf(n)
+        del calls[:]
+        function(formula, mode)
+        assert 0 < len(calls) <= ceiling
 
 
 # resolvents that formula._resolvents yields to bounded_variable_elim(f, 0)
