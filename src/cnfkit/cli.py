@@ -21,12 +21,11 @@ from .circuit import normalize_circuit, simplify_fixpoint
 from .elim import PipelineConfig, run_pipeline
 from .encode import _encode, build_varmap
 from .formula import satisfies
-from .io import (SolverResult, atomic_write, model_text,
+from .io import (SolverResult, atomic_write, dimacs_text, model_text,
                  parse_dimacs_with_report, parse_model, render_stats,
                  run_external_solver, write_dimacs)
 from .io.bcformat import _parse
-from .io.dimacs import _clause_lines
-from .reconstruct import ReconstructionStack, reconstruct_model
+from .reconstruct import ReconstructionStack, VarEntry, reconstruct_model
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -79,16 +78,11 @@ def cmd_encode(args):
     circuit = normalize_circuit(circuit)
     vm = build_varmap(circuit)
     vm.fixed_inputs.update(fixed)
-    # each gate's clauses go to text as they are made: no clause list of the
-    # whole formula, and the header count is filled in at the end
-    chunks = [""]
-    count = 0
-    for rows in _encode(circuit, vm, restricted=args.encoding == "pg"):
-        count += len(rows)
-        chunks.append(_clause_lines(rows))
-    del circuit  # frees the normalized circuit before the join
-    chunks[0] = f"p cnf {vm.num_vars} {count}\n"
-    atomic_write(args.output, "".join(chunks))
+    # dimacs_text turns each gate's rows into text as they are made: no
+    # clause list of the whole formula
+    rows = _encode(circuit, vm, restricted=args.encoding == "pg")
+    del circuit  # so the exhausted generator frees it before the final join
+    atomic_write(args.output, dimacs_text(vm.num_vars, rows))
     # the layout of json.dumps(doc, indent=2), whose `indent` would switch
     # json to its pure-Python encoder
     atomic_write(args.map or args.output + ".map",
@@ -118,7 +112,13 @@ def cmd_verify(args):
         stack = ReconstructionStack.from_text(_read(stack_path))
         model = parse_model(_read(model_path))
         original = _load_cnf(original_path)
-        repaired = reconstruct_model(stack, model, original.num_vars)
+        # the replay and the check read only the variables that the stack
+        # and the original mention: no defaults past the last of them
+        top = max((abs(l) for e in stack.entries for c in
+                   (e.saved if isinstance(e, VarEntry) else (s for s, _ in e))
+                   for l in c), default=0)
+        top = min(max(top, original.max_mentioned_var()), original.num_vars)
+        repaired = reconstruct_model(stack, model, top)
         if satisfies(original, repaired):
             print("c reconstruction ok")
             return EXIT_OK

@@ -308,10 +308,10 @@ def eliminate_covered(formula, mode=ExtensionMode.NONE, stack=None, stats=None):
     """CCE / HCCE / ACCE: alternate the mode's extension with covered literal
     additions until the working clause is removable, tautological, or stable.
 
-    The extension is a closure: extending a non-tautological extension adds
-    nothing.  So once a covered sweep adds no literal, the next extension and
-    sweep would see the same clause and add nothing either, and the clause
-    is stable.
+    Both steps are closures: each returns at its own fixpoint, so running one
+    again on its own result adds nothing.  A sweep therefore runs first, and
+    again only after an extension that added a literal, and the clause is
+    stable once either step adds nothing.
 
     A tautology reached through the extension alone is a pure deletion, but if
     covered additions contributed, the accumulated steps are pushed because
@@ -323,20 +323,17 @@ def eliminate_covered(formula, mode=ExtensionMode.NONE, stack=None, stats=None):
         wset = set(formula.clauses[cid])
         steps = []
         while True:
-            wset, taut, added = _extend(formula, wset, cid, mode)
+            wset, removable, added = _extend(formula, wset, cid, mode)
             stats.literals_added += added
-            if taut:
+            if not removable and (added or not steps):
+                removable, _, wset, csteps, added = _covered(formula, wset, cid)
+                stats.literals_added += added
+                steps.extend(csteps)
+            if removable:
                 if steps and stack is not None:
                     stack.push_clause(steps)
                 return None
-            removable, _, wset, csteps, cadded = _covered(formula, wset, cid)
-            stats.literals_added += cadded
-            steps.extend(csteps)
-            if removable:
-                if stack is not None:
-                    stack.push_clause(steps)
-                return None
-            if not cadded:
+            if not added:
                 return {abs(l) for l in wset}
 
     return _worklist(formula, stats, check)

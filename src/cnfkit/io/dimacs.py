@@ -17,8 +17,8 @@ from ..formula import CnfFormula, normalize_clause
 
 __all__ = ["DimacsError", "MalformedHeader", "LiteralOutOfRange",
            "UnterminatedClause", "ParseReport", "parse_dimacs",
-           "parse_dimacs_with_report", "write_dimacs", "parse_model",
-           "model_text"]
+           "parse_dimacs_with_report", "write_dimacs", "dimacs_text",
+           "parse_model", "model_text"]
 
 
 class DimacsError(Exception):
@@ -115,26 +115,32 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfFormula:
 def write_dimacs(formula: CnfFormula) -> str:
     """Canonical text: exact counts, clauses in id order, literals in
     canonical order.  parse(write(f)) reproduces f."""
-    return (f"p cnf {formula.num_vars} {len(formula.clauses)}\n"
-            + _clause_lines(formula.clauses.values()))
+    return dimacs_text(formula.num_vars, [formula.clauses.values()])
 
 
 # clause length -> the format of one DIMACS line of that length
 _LINE_FORMATS: dict[int, str] = {}
 
 
-def _clause_lines(clauses) -> str:
-    """The DIMACS lines of some clauses (tuples of ints), in their order and
-    with each clause's literals as given: every line ends in 0 and a
-    newline.  Each line is one ``%`` format, made once per clause length."""
+def dimacs_text(num_vars: int, chunks) -> str:
+    """DIMACS text of the clauses (tuples of ints) in some chunks, in their
+    order and with each clause's literals as given.  Each chunk is turned
+    into text as it comes, and the header goes in front at the end."""
     formats = _LINE_FORMATS
-    lines = []
-    for clause in clauses:
-        fmt = formats.get(len(clause))
-        if fmt is None:
-            fmt = formats[len(clause)] = "%d " * len(clause) + "0\n"
-        lines.append(fmt % clause)
-    return "".join(lines)
+    texts = [""]
+    count = 0
+    for clauses in chunks:
+        lines = []
+        for clause in clauses:
+            fmt = formats.get(len(clause))
+            if fmt is None:
+                fmt = formats[len(clause)] = "%d " * len(clause) + "0\n"
+            lines.append(fmt % clause)
+        count += len(lines)
+        texts.append("".join(lines))
+        del lines  # a chunk's lines go before the final join
+    texts[0] = f"p cnf {num_vars} {count}\n"
+    return "".join(texts)
 
 
 def parse_model(text: str) -> dict[int, bool]:

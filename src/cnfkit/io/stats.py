@@ -25,7 +25,7 @@ check could not have changed.
 
 import json
 import os
-import tempfile
+import stat
 
 __all__ = ["STATS_SCHEMA", "render_stats", "atomic_write"]
 
@@ -46,11 +46,18 @@ def render_stats(report) -> str:
 
 def atomic_write(path, text: str):
     """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
+    partial file.  A file keeps its permission bits, and a new one gets
+    those of ``open(path, "w")``: 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    # O_EXCL: a new file of ours alone; the umask applies as in open()
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
+            try:
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:

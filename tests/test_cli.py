@@ -142,6 +142,17 @@ class TestVerify:
         model = write(tmp_path / "m.txt", "v 0\n")
         assert run("verify", "--reconstruct", str(stack), model, original) == 0
 
+    @pytest.mark.parametrize("var, code", [(2, 2), (3, 0)])
+    def test_reconstruct_defaults_what_the_header_declares(self, tmp_path,
+                                                           var, code):
+        # the step's -var holds under the default false, so witness 1 stays
+        # false and (1) fails; past the header there is no default, and the
+        # witness flips
+        original = write(tmp_path / "orig.cnf", "p cnf 2 1\n1 0\n")
+        stack = write(tmp_path / "s.stack", f"e c 1\ns 1 1 -{var} 0\n")
+        model = write(tmp_path / "m.txt", "v 0\n")
+        assert run("verify", "--reconstruct", stack, model, original) == code
+
     def test_missing_operands(self, tmp_path):
         a = write(tmp_path / "a.cnf", "p cnf 1 1\n1 0\n")
         assert run("verify", a) == 1

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from cnfkit.elim import (ExtensionMode, PipelineConfig, TechniqueId,
-                         _extend, blocking_literal, covered_literal_additions,
-                         eliminate_blocked, eliminate_covered,
-                         eliminate_subsumed, eliminate_tautologies,
-                         extend_clause, find_subsumer, is_blocked,
-                         is_extended_tautology, is_tautology, run_pipeline)
+                         _covered, _extend, blocking_literal,
+                         covered_literal_additions, eliminate_blocked,
+                         eliminate_covered, eliminate_subsumed,
+                         eliminate_tautologies, extend_clause, find_subsumer,
+                         is_blocked, is_extended_tautology, is_tautology,
+                         run_pipeline)
 from cnfkit.formula import CnfFormula, satisfies
 from cnfkit.oracle import brute_force_sat, equisat
 from cnfkit.reconstruct import ReconstructionStack, reconstruct_model
@@ -66,6 +67,22 @@ class TestExtendClause:
                         if not taut:
                             assert _extend(f, wset, cid, mode) == \
                                 (wset, False, 0)
+
+    def test_covered_additions_are_a_closure(self, rng):
+        # eliminate_covered sweeps again only after the extension added a
+        # literal: a sweep of a sweep's kept result adds nothing
+        for _ in range(150):
+            f = random_formula(rng, max_vars=6, max_clauses=10)
+            for cid in f.ids():
+                for mode in ExtensionMode:
+                    base, taut, _ = _extend(f, f.clauses[cid], cid, mode)
+                    if taut:
+                        continue
+                    removable, _, wset, _, _ = _covered(f, base, cid)
+                    if not removable:
+                        again = set(wset)
+                        assert _covered(f, again, cid) == \
+                            (False, None, wset, [], 0)
 
 
 class TestIsTautology:

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from cnfkit.formula import CnfFormula
 from cnfkit.io import (CircuitFormatError, DimacsError, LiteralOutOfRange,
                        MalformedHeader, SolverParseFailure, SpawnFailure,
-                       UnknownFunction, UnterminatedClause, model_text,
-                       parse_circuit, parse_dimacs, parse_dimacs_with_report,
-                       parse_model, render_stats, run_external_solver,
-                       write_circuit, write_dimacs)
-from cnfkit.io.dimacs import _clause_lines
+                       UnknownFunction, UnterminatedClause, atomic_write,
+                       dimacs_text, model_text, parse_circuit, parse_dimacs,
+                       parse_dimacs_with_report, parse_model, render_stats,
+                       run_external_solver, write_circuit, write_dimacs)
 from cnfkit.cli import main
 from cnfkit.elim import ElimReport, TechniqueId
 from cnfkit.reconstruct import ReconstructionStack, StackFormatError
@@ -106,18 +105,31 @@ class TestWriteDimacs:
         """One ``%`` format per clause length writes what joining each
         literal's ``str`` wrote, from the empty clause to a wide one."""
         def reference(clauses):
-            return "".join(" ".join([str(l) for l in c] + ["0\n"])
-                           for c in clauses)
+            return f"p cnf 9 {len(clauses)}\n" + "".join(
+                " ".join([str(l) for l in c] + ["0\n"]) for c in clauses)
 
         wide = tuple(rng.choice((-1, 1)) * v for v in range(1, 2001))
         clauses = [tuple(rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 6))
                          for _ in range(rng.randint(0, 12)))
                    for _ in range(1000)]
         for case in ([()], [(-7,)], [wide], clauses, clauses + [wide, ()]):
-            assert _clause_lines(case) == reference(case)
-        assert _clause_lines([]) == ""
+            assert dimacs_text(9, [case]) == reference(case)
+        assert dimacs_text(9, [[]]) == dimacs_text(9, []) == reference([])
         f = CnfFormula(clauses=[wide, (3,), (-1, 2)])
         assert parse_dimacs(write_dimacs(f)) == f
+
+    def test_chunks_split_anywhere_give_the_same_text(self, rng):
+        clauses = [tuple(rng.choice((-1, 1)) * rng.randint(1, 50)
+                         for _ in range(rng.randint(0, 6)))
+                   for _ in range(200)]
+        whole = dimacs_text(50, [clauses])
+        for _ in range(50):
+            cuts = sorted(rng.randint(0, len(clauses))
+                          for _ in range(rng.randint(0, 12)))
+            chunks = [clauses[a:b] for a, b in
+                      zip([0] + cuts, cuts + [len(clauses)])]
+            assert dimacs_text(50, iter(chunks)) == whole
+        assert dimacs_text(50, [[], clauses[:1], [], clauses[1:], []]) == whole
 
     @given(st.lists(st.lists(st.integers(min_value=-6, max_value=6).filter(bool),
                              min_size=1, max_size=4), max_size=12))
@@ -338,3 +350,27 @@ class TestStats:
         assert list(doc["techniques"]["bce"]) == [
             "clauses_removed", "clauses_added", "literals_added", "rounds",
             "seconds"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_atomic_write_keeps_the_modes_of_open(tmp_path, umask):
+    """A new file gets 0o666 less the umask, as ``open(path, "w")`` gives,
+    and a file written again keeps its permission bits."""
+    old = os.umask(umask)
+    try:
+        atomic_write(tmp_path / "new", "a")
+        with open(tmp_path / "opened", "w"):
+            pass
+        (tmp_path / "old").write_text("b")
+        os.chmod(tmp_path / "old", 0o604)
+        atomic_write(tmp_path / "old", "c")
+        assert main(["gen", "php", "2", str(tmp_path / "old")]) == 0
+        with pytest.raises(TypeError):
+            atomic_write(tmp_path / "old", None)
+    finally:
+        os.umask(old)
+    mode = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert mode == {"new": 0o666 & ~umask, "opened": 0o666 & ~umask,
+                    "old": 0o604}
+    assert (tmp_path / "new").read_text() == "a"
+    assert (tmp_path / "old").read_text().startswith("p cnf 6 9\n")

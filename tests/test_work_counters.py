@@ -203,18 +203,21 @@ def test_blocked_clause_elimination_work(monkeypatch, technique):
 
 
 # elim._covered calls per eliminate_covered run on the same formulas, as
-# counted at the commit that added this test.  CCE's extension adds nothing,
-# so its count did not change then and is not held here.
-COVERED_CALLS = {"hcce": {100: 1088, 200: 2301},
-                 "acce": {100: 953, 200: 2544}}
+# counted at the last commit that lowered them
+COVERED_CALLS = {"cce": {100: 672, 200: 1167},
+                 "hcce": {100: 1031, 200: 2179},
+                 "acce": {100: 927, 200: 2460}}
 
 
 @pytest.mark.parametrize("technique", COVERED_CALLS)
 def test_covered_clause_elimination_work(monkeypatch, technique):
-    """A kept clause stops at the first covered sweep that adds no literal.
-    The commit before this test confirmed each kept clause with one more
-    extension and sweep: hcce made 1,744 and 3,730 calls, acce 1,557 and
-    4,282.  Counts may fall."""
+    """A kept clause stops at the first step, extension or covered sweep,
+    that adds no literal.  The commit that added this test still confirmed
+    each kept clause with one more extension and sweep: hcce made 1,744 and
+    3,730 calls, acce 1,557 and 4,282.  The next one stopped at the first
+    sweep that added nothing, but still swept after an extension that added
+    nothing: cce made 921 and 1,579 calls, hcce 1,088 and 2,301, acce 953
+    and 2,544.  Counts may fall."""
     calls = []
     covered = cnfkit.elim._covered
 
@@ -278,6 +281,28 @@ def test_variable_scan_memory_follows_occurring_variables(technique, left):
     finally:
         tracemalloc.stop()
     assert list(formula.clauses.values()) == left
+    assert peak < 64_000
+
+
+def test_reconstruct_memory_follows_read_variables(tmp_path, capsys):
+    """``verify --reconstruct`` gives defaults to the variables that the
+    check and the replay read, not to every declared one (a tracemalloc
+    peak of 85 MB here before the commit that added this test)."""
+    original, reduced, stack, model = (tmp_path / name for name in
+                                       ("f.cnf", "g.cnf", "g.stack", "m"))
+    original.write_text(SPARSE)
+    model.write_text("v 0\n")
+    assert main(["prep", str(original), str(reduced), "--stack", str(stack),
+                 "--techniques", ",".join(cnfkit.elim._TECHNIQUES)]) == 0
+    assert reduced.read_text() == "p cnf 0 0\n"
+    args = ["verify", "--reconstruct", str(stack), str(model), str(original)]
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "c reconstruction ok\n"
     assert peak < 64_000
 
 
